@@ -10,13 +10,12 @@ import time
 
 import numpy as np
 
-from camalign.autodiff import backward
 from camalign.config import load_config
 from camalign.data import GLYPH_NAMES, SyntheticSpec, build_vocab, generate_synthetic
 from camalign.metrics import bleu_n
 from camalign.model import build_model
 from camalign.optim import Adam
-from camalign.training import generate_report, sample_losses
+from camalign.training import generate_report, train_step
 
 
 def main() -> int:
@@ -40,19 +39,13 @@ def main() -> int:
 
     start = time.time()
     for step in range(1, args.steps + 1):
-        results = [sample_losses(model, s, vocab, cfg) for s in samples]
-        loss = results[0].total
-        for r in results[1:]:
-            loss = loss + r.total
-        loss = loss * (1.0 / len(samples))
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
+        breakdowns = train_step(model, opt, samples, vocab, cfg)
         if step % 25 == 0:
+            loss = sum(b.total for b in breakdowns) / len(samples)
             cands = [generate_report(model, s, vocab, 1, cfg.decode.max_len)
                      for s in samples]
             score = bleu_n(cands, refs, 4)
-            print(f"step {step:4d}  loss {float(loss.data):7.4f}  "
+            print(f"step {step:4d}  loss {loss:7.4f}  "
                   f"train bleu_4 {score:6.4f}  ({time.time() - start:5.1f}s)")
             if score >= 0.95:
                 print(f"reached 0.95 at step {step}")

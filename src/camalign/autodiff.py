@@ -15,11 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Validated after every primitive; trips early on exp/log blowups instead of
-# letting NaNs propagate into the optimiser.
-CHECK_FINITE = True
-
-
 class ShapeError(ValueError):
     """Operand shapes violate a primitive's contract."""
 
@@ -33,7 +28,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if CHECK_FINITE and not np.all(np.isfinite(arr)):
+        # Validated after every primitive; trips early on exp/log blowups
+        # instead of letting NaNs propagate into the optimiser.
+        if not np.all(np.isfinite(arr)):
             raise ContractError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -54,12 +51,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ContractError(f"item() needs a single element, got shape {self.shape}")
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

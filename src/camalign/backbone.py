@@ -6,29 +6,13 @@ supervise it.  Vanilla post-norm blocks, sinusoidal position encodings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (ShapeError, Tensor, add, concat, gather_rows, layer_norm,
                        matmul, relu, reshape, softmax, transpose)
-
-
-@dataclass
-class ModelConfig:
-    layers: int = 3
-    heads: int = 8
-    dim: int = 512
-    feat_dim: int = 128      # patch feature channels C
-    patch: int = 4
-    vocab: int = 64
-    classes: int = 14
-    max_len: int = 40
-    pos_enc: bool = True
-
-    def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise ShapeError(f"dim {self.dim} not divisible by heads {self.heads}")
+from .config import ModelSection
 
 
 def xavier(rng, fan_in: int, fan_out: int, shape=None) -> Tensor:
@@ -79,7 +63,7 @@ class PatchExtractor:
     ``patch x patch`` pixel cell.
     """
 
-    def __init__(self, cfg: ModelConfig, rng):
+    def __init__(self, cfg: ModelSection, rng):
         self.patch = cfg.patch
         if cfg.patch % 2 == 0 and cfg.patch > 1:
             self.p1, self.p2 = cfg.patch // 2, 2
@@ -123,6 +107,8 @@ class MultiHeadAttention:
     """Scaled dot-product attention; returns the per-head score matrices."""
 
     def __init__(self, dim: int, heads: int, rng):
+        if dim % heads != 0:
+            raise ShapeError(f"dim {dim} not divisible by heads {heads}")
         self.dim, self.heads = dim, heads
         self.head_dim = dim // heads
         self.wq = xavier(rng, dim, dim)
@@ -180,7 +166,7 @@ class _Norm:
 
 
 class EncoderBlock:
-    def __init__(self, cfg: ModelConfig, rng):
+    def __init__(self, cfg: ModelSection, rng):
         self.attn = MultiHeadAttention(cfg.dim, cfg.heads, rng)
         self.ffn = FeedForward(cfg.dim, rng)
         self.norm1, self.norm2 = _Norm(cfg.dim), _Norm(cfg.dim)
@@ -205,7 +191,7 @@ class Encoder:
     (a summary, not a spatial location) receives no position encoding.
     """
 
-    def __init__(self, cfg: ModelConfig, rng):
+    def __init__(self, cfg: ModelSection, rng):
         self.cfg = cfg
         self.proj_w = xavier(rng, cfg.feat_dim, cfg.dim)
         self.proj_b = zeros_param((cfg.dim,))
@@ -235,7 +221,7 @@ class Encoder:
 
 
 class DecoderBlock:
-    def __init__(self, cfg: ModelConfig, rng):
+    def __init__(self, cfg: ModelSection, rng):
         self.self_attn = MultiHeadAttention(cfg.dim, cfg.heads, rng)
         self.cross_attn = MultiHeadAttention(cfg.dim, cfg.heads, rng)
         self.ffn = FeedForward(cfg.dim, rng)
@@ -260,8 +246,7 @@ class DecoderBlock:
 @dataclass
 class DecoderOutput:
     dists: Tensor                # (T, vocab) next-token distributions
-    cross_layers: list           # per layer: list of per-head (T, N) score tensors
-    cross_final: list = field(default_factory=list)   # final layer per-head scores
+    cross_final: list            # final layer per-head (T, N) score tensors
 
     @property
     def cross_final_avg(self) -> Tensor:
@@ -275,12 +260,12 @@ class DecoderOutput:
 class Decoder:
     """Embedding lookup, causal blocks over the prefix, vocabulary softmax."""
 
-    def __init__(self, cfg: ModelConfig, rng):
+    def __init__(self, cfg: ModelSection, vocab: int, rng):
         self.cfg = cfg
-        self.embedding = Tensor(rng.normal(0.0, 0.02, (cfg.vocab, cfg.dim)), requires_grad=True)
+        self.embedding = Tensor(rng.normal(0.0, 0.02, (vocab, cfg.dim)), requires_grad=True)
         self.blocks = [DecoderBlock(cfg, rng) for _ in range(cfg.layers)]
-        self.out_w = xavier(rng, cfg.dim, cfg.vocab)
-        self.out_b = zeros_param((cfg.vocab,))
+        self.out_w = xavier(rng, cfg.dim, vocab)
+        self.out_b = zeros_param((vocab,))
 
     def params(self, prefix="decoder"):
         out = {f"{prefix}.embedding": self.embedding,
@@ -301,11 +286,8 @@ class Decoder:
         if self.cfg.pos_enc:
             x = add(x, Tensor(sinusoid_positions(t, self.cfg.dim)))
         causal = np.tril(np.ones((t, t), dtype=bool))
-        layers = []
+        cross_scores = []
         for block in self.blocks:
             x, cross_scores = block(x, memory, causal)
-            layers.append(cross_scores)
         logits = add(matmul(x, self.out_w), self.out_b)
-        dists = softmax(logits)
-        final = layers[-1] if layers else []
-        return DecoderOutput(dists=dists, cross_layers=layers, cross_final=final)
+        return DecoderOutput(dists=softmax(logits), cross_final=cross_scores)

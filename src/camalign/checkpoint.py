@@ -7,7 +7,10 @@ Record order is preserved so checkpoints are byte-reproducible.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -15,36 +18,60 @@ MAGIC = b"FTAR"
 VERSION = 1
 
 
+class CheckpointError(ValueError):
+    """A file is not a complete, well-formed parameter archive."""
+
+
 def save_params(path, params: dict) -> None:
-    """``params`` maps names to float arrays (or Tensors with ``.data``)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BI", VERSION, len(params)))
-        for name, value in params.items():
-            arr = np.asarray(getattr(value, "data", value), dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes(order="C"))
+    """``params`` maps names to float arrays (or Tensors with ``.data``).
+
+    The archive is written beside ``path`` and then renamed over it, so a
+    reader sees either the previous archive or the whole new one.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<BI", VERSION, len(params)))
+            for name, value in params.items():
+                arr = np.asarray(getattr(value, "data", value), dtype="<f8")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(arr.tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(path) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a parameter archive (bad magic)")
-        version, count = struct.unpack("<BI", fh.read(5))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported archive version {version}")
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
-            params[name] = data.astype(np.float64)
-        return params
+    buf = Path(path).read_bytes()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise CheckpointError(f"{path}: truncated archive at byte {pos} (reading {what})")
+        pos += n
+        return buf[pos - n:pos]
+
+    if take(4, "magic") != MAGIC:
+        raise CheckpointError(f"{path}: not a parameter archive (bad magic)")
+    version, count = struct.unpack("<BI", take(5, "header"))
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported archive version {version}")
+    params = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        name = take(name_len, "name").decode("utf-8")
+        (ndim,) = struct.unpack("<B", take(1, f"{name} rank"))
+        shape = tuple(struct.unpack("<I", take(4, f"{name} dims"))[0] for _ in range(ndim))
+        data = np.frombuffer(take(8 * math.prod(shape), f"{name} data"), dtype="<f8")
+        params[name] = data.reshape(shape).astype(np.float64)
+    if pos != len(buf):
+        raise CheckpointError(f"{path}: {len(buf) - pos} trailing bytes after {count} records")
+    return params

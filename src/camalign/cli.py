@@ -119,26 +119,45 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_jsonl(path):
+def _read_jsonl(path) -> list:
+    """(``path:line``, record) pairs for the non-blank lines of a JSONL file."""
+    records = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{where}: malformed JSON ({e.msg})") from e
+            if not isinstance(record, dict):
+                raise DataError(f"{where}: expected a JSON object")
+            records.append((where, record))
+    return records
+
+
+def _field(where: str, record: dict, key: str):
+    if key not in record:
+        raise DataError(f"{where}: missing field {key!r}")
+    return record[key]
 
 
 def cmd_evaluate(args) -> int:
-    candidate_records = _read_jsonl(args.candidates)
-    candidates = {r["id"]: r for r in candidate_records}
+    candidates, references = {}, {}
+    for where, record in _read_jsonl(args.candidates):
+        candidates[_field(where, record, "id")] = _field(where, record, "candidate")
+        if not args.references:
+            references[record["id"]] = [x.lower() for x in _field(where, record, "references")]
     if args.references:
-        references = {}
-        for record in _read_jsonl(args.references):
-            refs = record.get("references") or [record["report"]]
-            references[record["id"]] = [r.lower() for r in refs]
+        for where, record in _read_jsonl(args.references):
+            refs = record.get("references") or [_field(where, record, "report")]
+            references[_field(where, record, "id")] = [r.lower() for r in refs]
         missing = sorted(set(candidates) ^ set(references))
         if missing:
             raise DataError(f"candidate/reference id mismatch: {missing}")
-    else:
-        references = {r["id"]: [x.lower() for x in r["references"]] for r in candidate_records}
     ordered = sorted(candidates)
-    report = evaluate_corpus([candidates[i]["candidate"] for i in ordered],
+    report = evaluate_corpus([candidates[i] for i in ordered],
                              [references[i] for i in ordered])
     payload = json.dumps(report.as_dict(), indent=2)
     if args.out:

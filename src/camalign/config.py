@@ -27,7 +27,7 @@ class ModelSection:
     feat_dim: int = 128      # patch feature channels C
     classes: int = 14        # label classes for the classification head
     vocab_max: int = 2000    # vocabulary cap (most frequent kept)
-    max_len: int = 40        # max report length in tokens
+    max_len: int = 40        # accepted but not read; saved configs set it
     pos_enc: bool = True     # sinusoidal position encodings
 
 
@@ -90,17 +90,6 @@ class RunConfig:
 # "lambda" is a keyword, so the flat key differs from the field name.
 _FIELD_ALIASES = {"lambda": "lambda_"}
 _KEY_ALIASES = {v: k for k, v in _FIELD_ALIASES.items()}
-
-
-def known_keys() -> dict:
-    """Every flat key with its default value."""
-    keys = {}
-    for section_field in dataclasses.fields(RunConfig):
-        section = section_field.default_factory()
-        for f in dataclasses.fields(section):
-            key = _KEY_ALIASES.get(f.name, f.name)
-            keys[f"{section_field.name}.{key}"] = getattr(section, f.name)
-    return keys
 
 
 def _coerce(value, target):

@@ -41,11 +41,15 @@ def normalize(text: str) -> list:
 
 
 def build_vocab(corpus, min_freq: int = 1, max_size: int = None) -> Vocab:
-    """Frequency-thresholded vocab; deterministic order (freq desc, token asc)."""
+    """Frequency-thresholded vocab; deterministic order (freq desc, token asc).
+
+    Literal reserved tokens in the corpus keep their reserved ids.
+    """
     counts = {}
     for line in corpus:
         for token in normalize(line):
-            counts[token] = counts.get(token, 0) + 1
+            if token not in RESERVED:
+                counts[token] = counts.get(token, 0) + 1
     if not counts:
         raise DataError("empty corpus")
     kept = sorted(

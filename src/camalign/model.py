@@ -15,10 +15,9 @@ import numpy as np
 
 from . import consistency, discrim, saliency
 from .autodiff import ContractError, Tensor
-from .backbone import (Decoder, DecoderOutput, Encoder, ModelConfig,
-                       PatchExtractor, PatchFeatures, ones_param, xavier,
-                       zeros_param)
-from .config import RunConfig
+from .backbone import (Decoder, DecoderOutput, Encoder, PatchExtractor,
+                       PatchFeatures, ones_param, xavier, zeros_param)
+from .config import ModelSection, RunConfig
 from .data import BOS, EOS, PAD, UNK
 from .losses import LossBreakdown, composite_loss, label_bce, report_cross_entropy
 
@@ -41,14 +40,14 @@ class ForwardResult:
 
 
 class CaptionModel:
-    def __init__(self, cfg: ModelConfig, variant: str, rng):
+    def __init__(self, cfg: ModelSection, vocab: int, variant: str, rng):
         if variant not in ("base", "vdmae", "full"):
             raise ContractError(f"unknown variant {variant!r}")
         self.cfg = cfg
         self.variant = variant
         self.extractor = PatchExtractor(cfg, rng)
         self.encoder = Encoder(cfg, rng)
-        self.decoder = Decoder(cfg, rng)
+        self.decoder = Decoder(cfg, vocab, rng)
         if variant != "base":
             self.class_head = xavier(rng, cfg.feat_dim, cfg.classes,
                                      shape=(cfg.classes, cfg.feat_dim))
@@ -165,8 +164,4 @@ class CaptionModel:
 
 
 def build_model(cfg: RunConfig, vocab_size: int, rng) -> CaptionModel:
-    mc = ModelConfig(
-        layers=cfg.model.layers, heads=cfg.model.heads, dim=cfg.model.dim,
-        feat_dim=cfg.model.feat_dim, patch=cfg.model.patch, vocab=vocab_size,
-        classes=cfg.model.classes, max_len=cfg.model.max_len, pos_enc=cfg.model.pos_enc)
-    return CaptionModel(mc, cfg.train.variant, rng)
+    return CaptionModel(cfg.model, vocab_size, cfg.train.variant, rng)

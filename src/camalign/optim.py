@@ -1,11 +1,13 @@
 """Adam with bias correction and per-group learning rates."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ShapeError, grad_of
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -16,9 +18,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -26,14 +25,13 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> np.ndarr
     if grad.shape != param.shape or state.m.shape != param.shape:
         raise ShapeError(f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1 ** state.step)
+    v_hat = state.v / (1.0 - BETA2 ** state.step)
+    return param - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-@dataclass
 class Adam:
     """Optimises named parameter groups, each with its own learning rate.
 
@@ -41,18 +39,10 @@ class Adam:
     tensors whose ``.data`` is updated in place between graph constructions.
     """
 
-    groups: list
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    states: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for params, lr in self.groups:
-            for name, p in params.items():
-                self.states[name] = AdamState(
-                    m=np.zeros_like(p.data), v=np.zeros_like(p.data),
-                    lr=lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+    def __init__(self, groups: list):
+        self.groups = groups
+        self.states = {name: AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data), lr=lr)
+                       for params, lr in groups for name, p in params.items()}
 
     def step(self) -> None:
         for params, _ in self.groups:
@@ -63,7 +53,3 @@ class Adam:
         for params, _ in self.groups:
             for p in params.values():
                 p.grad = None
-
-
-def parameter_count(params: dict) -> int:
-    return sum(p.size for p in params.values())

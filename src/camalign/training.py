@@ -64,6 +64,32 @@ def sample_losses(model: CaptionModel, sample, vocab: Vocab, cfg: RunConfig):
         lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
 
 
+def train_step(model: CaptionModel, opt: Adam, batch, vocab: Vocab, cfg: RunConfig) -> list:
+    """One Adam step on the batch's mean loss; returns each sample's breakdown.
+
+    Totals are summed in sample order, then scaled by ``1/len(batch)``.  Only
+    the float breakdowns leave, so the batch's graph is freed on return.  A
+    ``ContractError`` leaves with ``.breakdowns`` of the samples whose forward
+    pass finished (none when the forward pass itself failed).
+    """
+    results = []
+    try:
+        results = [sample_losses(model, s, vocab, cfg) for s in batch]
+        batch_loss = results[0].total
+        for r in results[1:]:
+            batch_loss = batch_loss + r.total
+        batch_loss = batch_loss * (1.0 / len(batch))
+        if not np.isfinite(batch_loss.data):
+            raise ContractError("non-finite batch loss")
+        opt.zero_grad()
+        backward(batch_loss)
+        opt.step()
+    except ContractError as err:
+        err.breakdowns = [r.breakdown for r in results]
+        raise
+    return [r.breakdown for r in results]
+
+
 def generate_report(model: CaptionModel, sample, vocab: Vocab, beam: int, max_len: int) -> str:
     step = model.step_fn(sample.images)
     if beam == 1:
@@ -142,24 +168,13 @@ def train(cfg: RunConfig, train_samples, val_samples, run_dir,
             epoch_terms = np.zeros(4)
             for start in range(0, len(order), cfg.train.batch):
                 batch = [train_samples[i] for i in order[start:start + cfg.train.batch]]
-                results = []
                 try:
-                    results = [sample_losses(model, s, vocab, cfg) for s in batch]
-                    batch_loss = results[0].total
-                    for r in results[1:]:
-                        batch_loss = batch_loss + r.total
-                    batch_loss = batch_loss * (1.0 / len(batch))
-                    if not np.isfinite(batch_loss.data):
-                        raise ContractError("non-finite batch loss")
-                    opt.zero_grad()
-                    backward(batch_loss)
-                    opt.step()
+                    breakdowns = train_step(model, opt, batch, vocab, cfg)
                 except ContractError as err:
-                    losses = [r.breakdown.as_dict() for r in results]
+                    losses = [b.as_dict() for b in err.breakdowns]
                     path = _dump_diverged(run_dir, epoch, batch, losses)
                     raise TrainingDiverged(f"{err}; offending batch dumped to {path}") from err
-                for r in results:
-                    b = r.breakdown
+                for b in breakdowns:
                     epoch_terms += (b.ce, b.bce, b.mse, b.total)
             epoch_terms /= len(order)
             history.append(_log(log_fh, {

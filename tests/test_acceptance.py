@@ -21,7 +21,7 @@ from camalign.model import build_model
 from camalign.optim import Adam
 from camalign.saliency import (class_activation_map, classify_global,
                                normalize_map, visual_map_from_features)
-from camalign.training import generate_report, sample_losses, train
+from camalign.training import generate_report, train, train_step
 from camalign.autodiff import Tensor
 
 from test_decoding import enumerate_best, toy_lm
@@ -256,14 +256,7 @@ def test_criterion_7_overfit_16_samples():
 
     best, steps_used = 0.0, 0
     for step in range(1, 501):
-        results = [sample_losses(model, s, vocab, cfg) for s in samples]
-        loss = results[0].total
-        for r in results[1:]:
-            loss = loss + r.total
-        loss = loss * (1.0 / len(samples))
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
+        train_step(model, opt, samples, vocab, cfg)
         if step >= 100 and step % 25 == 0:
             cands = [generate_report(model, s, vocab, 1, cfg.decode.max_len)
                      for s in samples]
@@ -278,12 +271,6 @@ def test_criterion_7_overfit_16_samples():
 
 
 # -- criterion 8: alignment emergence --------------------------------------------------
-
-
-def _row_normalize(row):
-    m = np.maximum(row, 0.0)
-    lo, hi = m.min(), m.max()
-    return np.zeros_like(m) if hi == lo else (m - lo) / (hi - lo)
 
 
 def alignment_rate(model, vocab, cfg, test_samples, alignment):
@@ -309,7 +296,7 @@ def alignment_rate(model, vocab, cfg, test_samples, alignment):
             prefix = ids[:-1]
             attn = result.decoder.cross_final_avg.data
             content = [j for j, t in enumerate(prefix) if t not in (PAD, BOS, EOS, UNK)]
-            text = np.stack([_row_normalize(attn[j]) for j in content]).max(axis=0)
+            text = np.stack([normalize_map(attn[j]) for j in content]).max(axis=0)
         hits += int(np.argmax(text) == cell)
         total += 1
     return hits / total, total

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from camalign.autodiff import ShapeError, Tensor, tsum
-from camalign.backbone import (Decoder, Encoder, ModelConfig,
-                               MultiHeadAttention, PatchExtractor,
-                               sinusoid_positions)
+from camalign.backbone import (Decoder, Encoder, MultiHeadAttention,
+                               PatchExtractor, sinusoid_positions)
+from camalign.config import ModelSection
 from conftest import check_grads
+
+VOCAB = 12
 
 
 def micro_cfg(**kw):
-    base = dict(layers=1, heads=2, dim=8, feat_dim=6, patch=4, vocab=12,
-                classes=3, max_len=10, pos_enc=True)
+    base = dict(layers=1, heads=2, dim=8, feat_dim=6, patch=4, classes=3,
+                max_len=10, pos_enc=True)
     base.update(kw)
-    return ModelConfig(**base)
+    return ModelSection(**base)
 
 
 @pytest.fixture
@@ -69,6 +71,11 @@ def test_extractor_odd_patch_supported(rng):
 
 
 # -- attention ---------------------------------------------------------------------
+
+
+def test_attention_rejects_dim_not_divisible_by_heads(rng):
+    with pytest.raises(ShapeError, match="not divisible"):
+        MultiHeadAttention(dim=6, heads=4, rng=rng)
 
 
 def test_single_key_attention_row_is_one(rng):
@@ -161,10 +168,10 @@ def test_sinusoid_positions_shape_and_range():
 
 
 def test_decoder_distributions_and_cross_rows_sum_to_one(cfg, rng):
-    dec = Decoder(cfg, rng)
+    dec = Decoder(cfg, VOCAB, rng)
     memory = Tensor(rng.normal(size=(4, cfg.dim)))
     out = dec([1, 5, 6], memory)
-    assert out.dists.shape == (3, cfg.vocab)
+    assert out.dists.shape == (3, VOCAB)
     assert np.abs(out.dists.data.sum(axis=1) - 1.0).max() < 1e-9
     for s in out.cross_final:
         assert s.shape == (3, 4)
@@ -175,7 +182,7 @@ def test_decoder_distributions_and_cross_rows_sum_to_one(cfg, rng):
 
 
 def test_decoder_causality_by_perturbation(cfg, rng):
-    dec = Decoder(cfg, rng)
+    dec = Decoder(cfg, VOCAB, rng)
     memory = Tensor(rng.normal(size=(4, cfg.dim)))
     base = dec([1, 5, 6, 7], memory).dists.data
     changed = dec([1, 5, 9, 7], memory).dists.data    # edit position 2
@@ -184,20 +191,20 @@ def test_decoder_causality_by_perturbation(cfg, rng):
 
 
 def test_decoder_memory_width_matches_attention_width(cfg, rng):
-    dec = Decoder(cfg, rng)
+    dec = Decoder(cfg, VOCAB, rng)
     for n in (3, 6):
         out = dec([1, 5], Tensor(rng.normal(size=(n, cfg.dim))))
         assert out.cross_final_avg.shape == (2, n)
 
 
 def test_decoder_rejects_empty_memory(cfg, rng):
-    dec = Decoder(cfg, rng)
+    dec = Decoder(cfg, VOCAB, rng)
     with pytest.raises(ShapeError):
         dec([1, 2], Tensor(np.zeros((0, cfg.dim))))
 
 
 def test_embed_words_lookup_semantics(cfg, rng):
-    dec = Decoder(cfg, rng)
+    dec = Decoder(cfg, VOCAB, rng)
     rows = dec.embed_words([4, 4, 7])
     assert np.array_equal(rows.data[0], rows.data[1])
     assert rows.shape == (3, cfg.dim)
@@ -205,7 +212,7 @@ def test_embed_words_lookup_semantics(cfg, rng):
 
 
 def test_decode_deterministic(cfg, rng):
-    dec = Decoder(cfg, rng)
+    dec = Decoder(cfg, VOCAB, rng)
     memory = Tensor(rng.normal(size=(4, cfg.dim)))
     a = dec([1, 5, 6], memory).dists.data
     b = dec([1, 5, 6], memory).dists.data
@@ -219,9 +226,9 @@ def test_backbone_gradient_check_micro(rng):
     cfg = micro_cfg()
     extractor = PatchExtractor(cfg, rng)
     enc = Encoder(cfg, rng)
-    dec = Decoder(cfg, rng)
+    dec = Decoder(cfg, VOCAB, rng)
     image = rng.random((8, 8))
-    weight = Tensor(rng.normal(size=(3, cfg.vocab)))
+    weight = Tensor(rng.normal(size=(3, VOCAB)))
 
     def build_loss():
         feats = extractor([image])

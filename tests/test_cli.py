@@ -102,6 +102,15 @@ def test_generate_beam_one_equals_greedy(tmp_path, dataset_dir, run_dir):
         assert record["candidate"] == detokenize(ids, vocab)
 
 
+def test_generate_on_truncated_checkpoint_fails_cleanly(tmp_path, dataset_dir, run_dir, capsys):
+    ckpt = run_dir / "checkpoint_best.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:6])
+    code = main(["generate", "--run", str(run_dir), "--data",
+                 str(dataset_dir / "test.jsonl"), "--out", str(tmp_path / "c.jsonl")])
+    assert code == 1
+    assert "truncated archive" in capsys.readouterr().err
+
+
 def test_evaluate_identical_files_score_one(tmp_path, capsys):
     path = tmp_path / "same.jsonl"
     with open(path, "w") as fh:
@@ -122,6 +131,30 @@ def test_evaluate_mismatched_ids_listed(tmp_path, capsys):
     assert main(["evaluate", "--candidates", str(cands), "--references", str(refs)]) == 1
     err = capsys.readouterr().err
     assert "a" in err and "b" in err
+
+
+@pytest.mark.parametrize("second, message", [
+    ('{"id": "b", "references": ["x"]}', "missing field 'candidate'"),
+    ('{"candidate": "x", "references": ["x"]}', "missing field 'id'"),
+    ('{"id": "b", "candidate": "x"}', "missing field 'references'"),
+    ('{not json', "malformed JSON"),
+    ('["b", "x"]', "expected a JSON object"),
+])
+def test_evaluate_bad_candidate_record_names_path_and_line(tmp_path, capsys, second, message):
+    cands = tmp_path / "c.jsonl"
+    first = json.dumps({"id": "a", "candidate": "x", "references": ["x"]})
+    cands.write_text(f"{first}\n{second}\n")
+    assert main(["evaluate", "--candidates", str(cands)]) == 1
+    assert f"{cands}:2: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_reference_record_without_report_names_path_and_line(tmp_path, capsys):
+    cands = tmp_path / "c.jsonl"
+    refs = tmp_path / "r.jsonl"
+    cands.write_text(json.dumps({"id": "a", "candidate": "x"}) + "\n")
+    refs.write_text(json.dumps({"id": "a"}) + "\n")
+    assert main(["evaluate", "--candidates", str(cands), "--references", str(refs)]) == 1
+    assert f"{refs}:1: missing field 'report'" in capsys.readouterr().err
 
 
 def test_inspect_maps_full_variant(tmp_path, dataset_dir, run_dir):

@@ -36,6 +36,12 @@ def test_build_vocab_reserved_ids_fixed():
         ["<pad>", "<bos>", "<eos>", "<unk>"]
 
 
+def test_build_vocab_literal_reserved_tokens_keep_their_ids():
+    vocab = build_vocab(["<unk> word <pad> <unk>"])
+    assert vocab.id_to_token == ["<pad>", "<bos>", "<eos>", "<unk>", "word"]
+    assert tokenize("<unk> word", vocab) == [BOS, UNK, 4, EOS]
+
+
 def test_build_vocab_rejects_empty_corpus():
     with pytest.raises(DataError):
         build_vocab([""])

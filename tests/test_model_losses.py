@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camalign.autodiff import ContractError, Tensor, backward, grad_of
-from camalign.backbone import ModelConfig
+from camalign.config import ModelSection
 from camalign.data import PAD, SyntheticSpec, build_vocab, generate_synthetic, tokenize
 from camalign.losses import composite_loss, label_bce, report_cross_entropy
 from camalign.model import CaptionModel
@@ -82,9 +82,8 @@ def micro_setup(variant="full", seed=0):
                          glyph_min=1, glyph_max=2, samples=6, seed=3)
     samples, _ = generate_synthetic(spec)
     vocab = build_vocab([s.report for s in samples])
-    cfg = ModelConfig(layers=1, heads=2, dim=8, feat_dim=6, patch=4,
-                      vocab=len(vocab), classes=3, max_len=12)
-    model = CaptionModel(cfg, variant, np.random.default_rng(seed))
+    cfg = ModelSection(layers=1, heads=2, dim=8, feat_dim=6, patch=4, classes=3, max_len=12)
+    model = CaptionModel(cfg, len(vocab), variant, np.random.default_rng(seed))
     return model, samples, vocab
 
 
@@ -183,9 +182,8 @@ def test_two_view_sample_forward():
                          glyph_min=1, glyph_max=2, samples=4, seed=5, views=2)
     samples, _ = generate_synthetic(spec)
     vocab = build_vocab([s.report for s in samples])
-    cfg = ModelConfig(layers=1, heads=2, dim=8, feat_dim=6, patch=4,
-                      vocab=len(vocab), classes=3, max_len=16)
-    model = CaptionModel(cfg, "full", np.random.default_rng(0))
+    cfg = ModelSection(layers=1, heads=2, dim=8, feat_dim=6, patch=4, classes=3, max_len=16)
+    model = CaptionModel(cfg, len(vocab), "full", np.random.default_rng(0))
     sample = next(s for s in samples if len(s.images) == 2)
     result = run_forward(model, sample, vocab)
     assert result.visual_map.shape == (8,)            # 2 views x 4 patches

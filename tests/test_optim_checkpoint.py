@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from camalign.autodiff import ShapeError, Tensor, backward, tsum
-from camalign.checkpoint import load_params, save_params
-from camalign.optim import Adam, AdamState, adam_step, parameter_count
+from camalign.checkpoint import CheckpointError, load_params, save_params
+from camalign.optim import Adam, AdamState, adam_step
 
 
 def make_state(shape, lr=0.1):
@@ -67,11 +67,6 @@ def test_optimizer_groups_use_their_own_lr(rng):
     assert np.abs(b.data - before_b).max() == pytest.approx(0.001, rel=1e-6)
 
 
-def test_parameter_count():
-    params = {"a": Tensor(np.zeros((2, 3))), "b": Tensor(np.zeros(5))}
-    assert parameter_count(params) == 11
-
-
 # -- checkpoint archive ----------------------------------------------------------
 
 
@@ -115,3 +110,33 @@ def test_checkpoint_bytes_reproducible(tmp_path, rng):
     save_params(p1, params)
     save_params(p2, params)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_every_truncation_is_named(tmp_path, rng):
+    # every proper prefix, so every field boundary and every cut inside a field
+    path = tmp_path / "full.bin"
+    save_params(path, {"layer.w": rng.normal(size=(2, 3)), "scalar": np.array(2.5)})
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_params(cut)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.bin"
+    save_params(path, {"w": np.ones(2)})
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="1 trailing bytes"):
+        load_params(path)
+
+
+def test_checkpoint_failed_save_keeps_previous_archive(tmp_path):
+    path = tmp_path / "model.bin"
+    save_params(path, {"w": np.ones(2)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_params(path, {"w": np.zeros(2), "bad": "not a number"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]

@@ -34,9 +34,8 @@ def test_fixed_seed_gives_bit_identical_metric_logs(tmp_path):
     cfg = micro_cfg()
     r1 = train(cfg, train_s, val_s, tmp_path / "run1")
     r2 = train(cfg, train_s, val_s, tmp_path / "run2")
-    log1 = (tmp_path / "run1" / "metrics.jsonl").read_bytes()
-    log2 = (tmp_path / "run2" / "metrics.jsonl").read_bytes()
-    assert log1 == log2
+    for name in ("metrics.jsonl", "checkpoint_best.bin", "checkpoint_last.bin"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes(), name
     assert r1.state.best_metric == r2.state.best_metric
 
 
@@ -109,6 +108,16 @@ def test_nan_input_aborts_with_batch_dump(tmp_path):
         train(micro_cfg(), train_s + [poisoned], val_s, tmp_path / "run")
     dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
     assert any(s["id"] == "bad" for s in dump["samples"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_batch_loss_dumps_every_sample_loss(tmp_path):
+    # each sample's total is finite, their sum over the batch is not
+    train_s, val_s = micro_dataset()
+    with pytest.raises(TrainingDiverged, match="non-finite"):
+        train(micro_cfg(**{"train.lambda": 1e308}), train_s, val_s, tmp_path / "run")
+    dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
+    assert len(dump["loss_terms"]) == len(dump["samples"]) == 4
 
 
 def test_empty_split_rejected(tmp_path):
