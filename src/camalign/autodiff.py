@@ -101,8 +101,17 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, backward) -> Tensor:
-    """Assemble an op result; constants fold to leaves (no closure kept)."""
-    out = Tensor(data)
+    """Assemble an op result; constants fold to leaves (no closure kept).
+
+    A non-finite result names its primitive (where ``backward`` was defined)
+    and the operands' shapes.
+    """
+    try:
+        out = Tensor(data)
+    except ContractError as err:
+        op = backward.__qualname__.split(".")[0]
+        shapes = ", ".join(str(p.shape) for p in parents)
+        raise ContractError(f"{op} produced non-finite values from {shapes}") from err
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -243,15 +252,17 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``(..., m, k) @ (..., k, n)``, slice by slice; leading axes must be equal."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (m,k)x(k,n), got {a.shape} x {b.shape}")
+    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
+        raise ShapeError(f"matmul needs (...,m,k)x(...,k,n), got {a.shape} x {b.shape}")
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ShapeError, Tensor, add, concat, gather_rows, layer_norm,
-                       matmul, relu, reshape, softmax, transpose)
+                       matmul, mean, relu, reshape, softmax, transpose)
 from .config import ModelSection
 
 
@@ -104,7 +104,10 @@ class PatchExtractor:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention; returns the per-head score matrices."""
+    """Scaled dot-product attention, all heads in one batched product.
+
+    Returns the output, (T, D), and the per-head scores as one (H, T, S) tensor.
+    """
 
     def __init__(self, dim: int, heads: int, rng):
         if dim % heads != 0:
@@ -122,18 +125,13 @@ class MultiHeadAttention:
         return {f"{prefix}.{n}": getattr(self, n) for n in names}
 
     def __call__(self, query: Tensor, keys: Tensor, values: Tensor, mask=None):
-        q = add(matmul(query, self.wq), self.bq)
-        k = add(matmul(keys, self.wk), self.bk)
-        v = add(matmul(values, self.wv), self.bv)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        outs, scores = [], []
-        for h in range(self.heads):
-            cols = slice(h * self.head_dim, (h + 1) * self.head_dim)
-            logits = matmul(q[:, cols], transpose(k[:, cols])) * scale
-            attn = softmax(logits, mask=mask)
-            scores.append(attn)
-            outs.append(matmul(attn, v[:, cols]))
-        mixed = outs[0] if self.heads == 1 else concat(outs, axis=1)
+        split = (-1, self.heads, self.head_dim)
+        q = transpose(reshape(add(matmul(query, self.wq), self.bq), split), (1, 0, 2))  # (H,T,d)
+        k = transpose(reshape(add(matmul(keys, self.wk), self.bk), split), (1, 2, 0))   # (H,d,S)
+        v = transpose(reshape(add(matmul(values, self.wv), self.bv), split), (1, 0, 2))  # (H,S,d)
+        # one softmax for every head; a (T, T) causal mask broadcasts over H
+        scores = softmax(matmul(q, k) * (1.0 / np.sqrt(self.head_dim)), mask=mask)
+        mixed = reshape(transpose(matmul(scores, v), (1, 0, 2)), (-1, self.dim))      # (T,D)
         return add(matmul(mixed, self.wo), self.bo), scores
 
 
@@ -245,16 +243,15 @@ class DecoderBlock:
 
 @dataclass
 class DecoderOutput:
+    """Next-token distributions and the final layer's per-head cross-attention."""
+
     dists: Tensor                # (T, vocab) next-token distributions
-    cross_final: list            # final layer per-head (T, N) score tensors
+    cross_final: Tensor          # (H, T, N) final-layer attention over visual tokens
 
     @property
     def cross_final_avg(self) -> Tensor:
         """Head-averaged final-layer attention over visual tokens, (T, N)."""
-        total = self.cross_final[0]
-        for s in self.cross_final[1:]:
-            total = add(total, s)
-        return total * (1.0 / len(self.cross_final))
+        return mean(self.cross_final, axis=0)
 
 
 class Decoder:
@@ -286,7 +283,7 @@ class Decoder:
         if self.cfg.pos_enc:
             x = add(x, Tensor(sinusoid_positions(t, self.cfg.dim)))
         causal = np.tril(np.ones((t, t), dtype=bool))
-        cross_scores = []
+        cross_scores = None
         for block in self.blocks:
             x, cross_scores = block(x, memory, causal)
         logits = add(matmul(x, self.out_w), self.out_b)

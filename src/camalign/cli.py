@@ -17,8 +17,8 @@ import numpy as np
 from .checkpoint import load_params
 from .config import ConfigError, RunConfig, load_config, to_flat
 from .data import (DataError, GLYPH_NAMES, SyntheticSpec, Vocab,
-                   generate_synthetic, load_dataset, save_alignment,
-                   save_dataset, split_dataset, tokenize)
+                   generate_synthetic, load_dataset, read_jsonl, require_field,
+                   save_alignment, save_dataset, split_dataset, tokenize)
 from .metrics import evaluate_corpus
 from .model import build_model
 from .saliency import normalize_map
@@ -119,40 +119,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_jsonl(path) -> list:
-    """(``path:line``, record) pairs for the non-blank lines of a JSONL file."""
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: malformed JSON ({e.msg})") from e
-            if not isinstance(record, dict):
-                raise DataError(f"{where}: expected a JSON object")
-            records.append((where, record))
-    return records
-
-
-def _field(where: str, record: dict, key: str):
-    if key not in record:
-        raise DataError(f"{where}: missing field {key!r}")
-    return record[key]
-
-
 def cmd_evaluate(args) -> int:
     candidates, references = {}, {}
-    for where, record in _read_jsonl(args.candidates):
-        candidates[_field(where, record, "id")] = _field(where, record, "candidate")
+    for where, record in read_jsonl(args.candidates):
+        candidate = require_field(where, record, "candidate")
+        candidates[require_field(where, record, "id")] = candidate
         if not args.references:
-            references[record["id"]] = [x.lower() for x in _field(where, record, "references")]
+            refs = require_field(where, record, "references")
+            references[record["id"]] = [x.lower() for x in refs]
     if args.references:
-        for where, record in _read_jsonl(args.references):
-            refs = record.get("references") or [_field(where, record, "report")]
-            references[_field(where, record, "id")] = [r.lower() for r in refs]
+        for where, record in read_jsonl(args.references):
+            refs = record.get("references") or [require_field(where, record, "report")]
+            references[require_field(where, record, "id")] = [r.lower() for r in refs]
         missing = sorted(set(candidates) ^ set(references))
         if missing:
             raise DataError(f"candidate/reference id mismatch: {missing}")

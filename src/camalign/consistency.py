@@ -13,9 +13,9 @@ from math import ceil
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, clip, concat, div,
-                       matmul, mul, relu, reshape, sqrt, sub, tmax, tmin,
-                       transpose, tsum)
+from .autodiff import (ContractError, ShapeError, Tensor, add, clip, div,
+                       matmul, mul, relu, sqrt, sub, tmax, tmin, transpose,
+                       tsum)
 
 NORM_FLOOR = 1e-12
 MASKED_SENTINEL = -np.inf
@@ -62,31 +62,22 @@ def select_important_words(sims: WordSimilarities, k: float) -> np.ndarray:
     return order[:gamma]
 
 
-def _normalize_row(row: Tensor) -> Tensor:
-    """ReLU then min-max to [0, 1]; a constant-after-ReLU row becomes zeros."""
-    active = relu(row)
-    lo, hi = tmin(active, keepdims=True), tmax(active, keepdims=True)
-    if float(hi.data.reshape(-1)[0]) == float(lo.data.reshape(-1)[0]):
-        return active * 0.0
-    return div(sub(active, lo), sub(hi, lo))
-
-
 def textual_map(attention: Tensor, sims: WordSimilarities, selected: np.ndarray) -> Tensor:
     """Weighted max-pool of the selected words' normalised attention rows.
 
-    Each selected row is ReLU'd and min-max normalised, scaled by its word
-    weight ReLU(similarity), then pooled elementwise-max into a single map
-    over visual tokens.
+    Each selected row is ReLU'd and min-max normalised (a row that is
+    constant after the ReLU becomes zeros, with zero gradient), scaled by its
+    word weight ReLU(similarity), then pooled elementwise-max into a single
+    map over visual tokens.
     """
     if selected.size == 0:
         raise ContractError("textual map needs at least one selected word")
-    rows = []
-    for j in selected:
-        weight = relu(sims.values[int(j):int(j) + 1])                 # (1,)
-        normd = _normalize_row(attention[int(j), :])                  # (N,)
-        rows.append(reshape(mul(normd, weight), (1, -1)))
-    stacked = rows[0] if len(rows) == 1 else concat(rows, axis=0)     # (gamma, N)
-    return tmax(stacked, axis=0)
+    active = relu(attention[selected])                                  # (gamma, N)
+    lo, hi = tmin(active, axis=1, keepdims=True), tmax(active, axis=1, keepdims=True)
+    flat = hi.data == lo.data                                           # (gamma, 1)
+    normd = mul(div(sub(active, lo), add(sub(hi, lo), flat)), ~flat)
+    weights = relu(sims.values[selected[:, None]])                      # (gamma, 1)
+    return tmax(mul(normd, weights), axis=0)
 
 
 def consistency_loss(text_map: Tensor, visual_map) -> Tensor:

@@ -15,6 +15,7 @@ import numpy as np
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN = "<pad>", "<bos>", "<eos>", "<unk>"
 RESERVED = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
+CONTROL_TOKENS = frozenset((PAD_TOKEN, BOS_TOKEN, EOS_TOKEN))
 
 
 class DataError(ValueError):
@@ -63,7 +64,9 @@ def build_vocab(corpus, min_freq: int = 1, max_size: int = None) -> Vocab:
 
 
 def tokenize(text: str, vocab: Vocab) -> list:
-    return [BOS] + [vocab.id_of(t) for t in normalize(text)] + [EOS]
+    """BOS, the word ids, EOS; a literal ``<pad>``, ``<bos>`` or ``<eos>`` is UNK."""
+    words = [UNK if t in CONTROL_TOKENS else vocab.id_of(t) for t in normalize(text)]
+    return [BOS] + words + [EOS]
 
 
 def detokenize(ids, vocab: Vocab) -> str:
@@ -103,32 +106,49 @@ def save_dataset(path, samples) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def load_dataset(path, expected_classes: int = None) -> list:
-    samples = []
+def read_jsonl(path) -> list:
+    """(``path:line``, record) pairs for the non-blank lines of a JSONL file."""
+    records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
-            for key in ("id", "images", "report", "labels"):
-                if key not in record:
-                    raise DataError(f"{path}:{lineno}: missing field {key!r}")
-            if expected_classes is not None and len(record["labels"]) != expected_classes:
-                raise DataError(
-                    f"{path}:{lineno}: labels length {len(record['labels'])} != expected {expected_classes}")
-            images = []
-            for flat in record["images"]:
-                side = int(round(len(flat) ** 0.5))
-                if side * side != len(flat):
-                    raise DataError(f"{path}:{lineno}: image is not a square grid ({len(flat)} values)")
-                images.append(np.asarray(flat, dtype=np.float64).reshape(side, side))
-            samples.append(Sample(
-                id=str(record["id"]), images=images,
-                report=str(record["report"]),
-                labels=np.asarray(record["labels"], dtype=np.int64)))
+                raise DataError(f"{where}: malformed JSON ({e.msg})") from e
+            if not isinstance(record, dict):
+                raise DataError(f"{where}: expected a JSON object")
+            records.append((where, record))
+    return records
+
+
+def require_field(where: str, record: dict, key: str):
+    """``record[key]``; a missing key is a ``DataError`` naming ``where``."""
+    if key not in record:
+        raise DataError(f"{where}: missing field {key!r}")
+    return record[key]
+
+
+def load_dataset(path, expected_classes: int = None) -> list:
+    samples = []
+    for where, record in read_jsonl(path):
+        for key in ("id", "images", "report", "labels"):
+            require_field(where, record, key)
+        if expected_classes is not None and len(record["labels"]) != expected_classes:
+            raise DataError(
+                f"{where}: labels length {len(record['labels'])} != expected {expected_classes}")
+        images = []
+        for flat in record["images"]:
+            side = int(round(len(flat) ** 0.5))
+            if side * side != len(flat):
+                raise DataError(f"{where}: image is not a square grid ({len(flat)} values)")
+            images.append(np.asarray(flat, dtype=np.float64).reshape(side, side))
+        samples.append(Sample(
+            id=str(record["id"]), images=images,
+            report=str(record["report"]),
+            labels=np.asarray(record["labels"], dtype=np.int64)))
     return samples
 
 
@@ -141,11 +161,12 @@ def save_alignment(path, alignment: dict) -> None:
 
 def load_alignment(path) -> dict:
     alignment = {}
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                record = json.loads(line)
-                alignment[record["id"]] = {k: int(v) for k, v in record["glyphs"].items()}
+    for where, record in read_jsonl(path):
+        sample_id = require_field(where, record, "id")
+        glyphs = require_field(where, record, "glyphs")
+        if not (isinstance(glyphs, dict) and all(type(v) is int for v in glyphs.values())):
+            raise DataError(f"{where}: field 'glyphs' must map glyph names to cell indices")
+        alignment[sample_id] = glyphs
     return alignment
 
 

@@ -79,8 +79,6 @@ def train_step(model: CaptionModel, opt: Adam, batch, vocab: Vocab, cfg: RunConf
         for r in results[1:]:
             batch_loss = batch_loss + r.total
         batch_loss = batch_loss * (1.0 / len(batch))
-        if not np.isfinite(batch_loss.data):
-            raise ContractError("non-finite batch loss")
         opt.zero_grad()
         backward(batch_loss)
         opt.step()
@@ -115,10 +113,11 @@ def evaluate_split(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig,
     return breakdown, evaluate_corpus(candidates, references), candidates
 
 
-def _dump_diverged(run_dir: Path, epoch: int, batch, losses) -> Path:
+def _dump_diverged(run_dir: Path, epoch: int, batch, losses, error: str) -> Path:
     path = run_dir / "diverged_batch.json"
     payload = {
         "epoch": epoch,
+        "error": error,
         "samples": [{"id": s.id, "report": s.report, "labels": [int(y) for y in s.labels]}
                     for s in batch],
         "loss_terms": losses,
@@ -172,7 +171,7 @@ def train(cfg: RunConfig, train_samples, val_samples, run_dir,
                     breakdowns = train_step(model, opt, batch, vocab, cfg)
                 except ContractError as err:
                     losses = [b.as_dict() for b in err.breakdowns]
-                    path = _dump_diverged(run_dir, epoch, batch, losses)
+                    path = _dump_diverged(run_dir, epoch, batch, losses, str(err))
                     raise TrainingDiverged(f"{err}; offending batch dumped to {path}") from err
                 for b in breakdowns:
                     epoch_terms += (b.ce, b.bce, b.mse, b.total)

@@ -7,6 +7,7 @@ both stay well inside their stated budgets on a laptop-class CPU.
 import time
 
 import numpy as np
+import pytest
 
 from camalign.autodiff import backward, grad_of, zero_grads
 from camalign.config import RunConfig, load_config
@@ -239,6 +240,7 @@ def test_criterion_6_decoding():
 # -- criterion 7: overfit check --------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_overfit_16_samples():
     start = time.time()
     spec = SyntheticSpec(grid=28, patches=7, classes=GLYPH_NAMES[:6],
@@ -302,6 +304,7 @@ def alignment_rate(model, vocab, cfg, test_samples, alignment):
     return hits / total, total
 
 
+@pytest.mark.slow
 def test_criterion_8_alignment_emergence(tmp_path):
     start = time.time()
     spec = SyntheticSpec(grid=28, patches=7, classes=GLYPH_NAMES[:6],

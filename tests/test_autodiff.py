@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,24 @@ def test_matmul_zero_annihilates(rng):
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+
+def test_matmul_stacked_equals_per_slice_product(rng):
+    a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+    out = matmul(Tensor(a), Tensor(b)).data
+    assert out.shape == (3, 2, 5)
+    assert all(np.array_equal(out[h], a[h] @ b[h]) for h in range(3))
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((3, 2, 4), (2, 4, 5)),        # leading axes differ
+    ((2, 4), (3, 4, 5)),           # no broadcasting of a missing leading axis
+    ((3, 2, 4), (3, 3, 5)),        # inner dimensions differ
+])
+def test_matmul_stacked_shape_error_names_both_shapes(shape_a, shape_b):
+    pattern = rf"{re.escape(str(shape_a))}.*{re.escape(str(shape_b))}"
+    with pytest.raises(ShapeError, match=pattern):
+        matmul(Tensor(np.zeros(shape_a)), Tensor(np.zeros(shape_b)))
 
 
 def test_softmax_symmetry():
@@ -104,6 +124,15 @@ def test_layer_norm_rejects_single_channel():
 def test_tensor_rejects_non_finite():
     with pytest.raises(ContractError):
         Tensor([1.0, np.nan])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_result_names_its_primitive_and_operand_shapes():
+    with pytest.raises(ContractError, match=r"^exp produced non-finite values from \(1,\)$"):
+        ad.exp(Tensor([800.0], requires_grad=True))
+    big = Tensor([1e308], requires_grad=True)
+    with pytest.raises(ContractError, match=r"^add produced non-finite values from \(1,\), \(\)$"):
+        big + 1e308
 
 
 # -- backward contracts ------------------------------------------------------------
@@ -188,6 +217,7 @@ PRIMITIVE_CASES = [
     ("mul_broadcast", lambda a, b: a * b, (2, 3), (1, 3)),
     ("div", lambda a, b: a / (b * b + 1.0), (2, 3), (2, 3)),
     ("matmul", matmul, (2, 3), (3, 4)),
+    ("matmul_stacked", matmul, (3, 2, 4), (3, 4, 5)),         # (H,T,d) @ (H,d,S)
 ]
 
 

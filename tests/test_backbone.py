@@ -83,8 +83,8 @@ def test_single_key_attention_row_is_one(rng):
     q = Tensor(rng.normal(size=(3, 8)))
     kv = Tensor(rng.normal(size=(1, 8)))
     _, scores = attn(q, kv, kv)
-    for s in scores:
-        assert np.allclose(s.data, 1.0, atol=1e-15)
+    assert scores.shape == (2, 3, 1)
+    assert np.allclose(scores.data, 1.0, atol=1e-15)
 
 
 def test_identical_keys_give_uniform_rows(rng):
@@ -93,8 +93,8 @@ def test_identical_keys_give_uniform_rows(rng):
     row = rng.normal(size=8)
     kv = Tensor(np.tile(row, (5, 1)))
     _, scores = attn(q, kv, kv)
-    for s in scores:
-        assert np.allclose(s.data, 0.2, atol=1e-12)
+    assert scores.shape == (2, 2, 5)
+    assert np.allclose(scores.data, 0.2, atol=1e-12)
 
 
 def test_attention_rows_are_probability_vectors(rng):
@@ -102,9 +102,52 @@ def test_attention_rows_are_probability_vectors(rng):
     q = Tensor(rng.normal(size=(5, 8)))
     kv = Tensor(rng.normal(size=(7, 8)))
     _, scores = attn(q, kv, kv)
-    for s in scores:
-        assert np.abs(s.data.sum(axis=1) - 1.0).max() < 1e-9
-        assert (s.data >= 0).all() and (s.data <= 1).all()
+    assert scores.shape == (4, 5, 7)
+    assert np.abs(scores.data.sum(axis=-1) - 1.0).max() < 1e-9
+    assert (scores.data >= 0).all() and (scores.data <= 1).all()
+
+
+def _per_head_reference(attn, query, keys, mask=None):
+    """Textbook multi-head attention, one head at a time, in plain numpy."""
+    q = query @ attn.wq.data + attn.bq.data
+    k = keys @ attn.wk.data + attn.bk.data
+    v = keys @ attn.wv.data + attn.bv.data
+    heads, scores = [], []
+    for h in range(attn.heads):
+        cols = slice(h * attn.head_dim, (h + 1) * attn.head_dim)
+        logits = q[:, cols] @ k[:, cols].T / np.sqrt(attn.head_dim)
+        if mask is not None:
+            logits = np.where(mask, logits, -np.inf)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        scores.append(e / e.sum(axis=1, keepdims=True))
+        heads.append(scores[-1] @ v[:, cols])
+    return np.concatenate(heads, axis=1) @ attn.wo.data + attn.bo.data, np.stack(scores)
+
+
+@pytest.mark.parametrize("kind", ["cross", "causal_self"])
+def test_attention_matches_per_head_reference(rng, kind):
+    attn = MultiHeadAttention(12, 3, rng)
+    query = rng.normal(size=(5, 12))
+    keys = rng.normal(size=(7, 12)) if kind == "cross" else query
+    mask = np.tril(np.ones((5, 5), dtype=bool)) if kind == "causal_self" else None
+    out, scores = attn(Tensor(query), Tensor(keys), Tensor(keys), mask=mask)
+    want_out, want_scores = _per_head_reference(attn, query, keys, mask)
+    assert scores.shape == want_scores.shape == (3, 5, keys.shape[0])
+    assert np.abs(scores.data - want_scores).max() <= 1e-12
+    assert np.abs(out.data - want_out).max() <= 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_gradient(rng, heads):
+    attn = MultiHeadAttention(4, heads, rng)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w_out, w_scores = (Tensor(rng.normal(size=shape)) for shape in ((3, 4), (heads, 3, 3)))
+
+    def build_loss():
+        out, scores = attn(x, x, x)
+        return tsum(out * w_out) + tsum(scores * w_scores)
+
+    check_grads(build_loss, [x, attn.wq, attn.wk, attn.wv, attn.wo], h=1e-5, tol=1e-6)
 
 
 def test_softmax_logit_closed_form_on_scores():
@@ -173,12 +216,12 @@ def test_decoder_distributions_and_cross_rows_sum_to_one(cfg, rng):
     out = dec([1, 5, 6], memory)
     assert out.dists.shape == (3, VOCAB)
     assert np.abs(out.dists.data.sum(axis=1) - 1.0).max() < 1e-9
-    for s in out.cross_final:
-        assert s.shape == (3, 4)
-        assert np.abs(s.data.sum(axis=1) - 1.0).max() < 1e-9
+    assert out.cross_final.shape == (cfg.heads, 3, 4)
+    assert np.abs(out.cross_final.data.sum(axis=-1) - 1.0).max() < 1e-9
     avg = out.cross_final_avg
     assert avg.shape == (3, 4)
     assert np.abs(avg.data.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.array_equal(avg.data, out.cross_final.data.sum(axis=0) * (1.0 / cfg.heads))
 
 
 def test_decoder_causality_by_perturbation(cfg, rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camalign.autodiff import ContractError, ShapeError, Tensor, softmax
+from camalign.autodiff import ContractError, ShapeError, Tensor, backward, softmax
 from camalign.consistency import (consistency_loss, select_important_words,
                                   textual_map, word_similarities)
 from conftest import check_grads
@@ -150,6 +150,42 @@ def test_degenerate_attention_row_gives_zeros():
     assert np.array_equal(out.data, np.zeros(3))
     out = build_map([[0.4, 0.4, 0.4]], [[1.0, 0.0]], [1.0, 0.0], [0])
     assert np.array_equal(out.data, np.zeros(3))
+
+
+def _per_word_reference(attn, weights, selected):
+    """The textual map one selected word at a time, in plain numpy."""
+    rows = []
+    for j in selected:
+        active = np.maximum(attn[j], 0.0)
+        lo, hi = active.min(), active.max()
+        normd = np.zeros_like(active) if hi == lo else (active - lo) / (hi - lo)
+        rows.append(normd * max(weights[j], 0.0))
+    return np.max(rows, axis=0)
+
+
+def test_map_equals_per_word_reference(rng):
+    for _ in range(30):
+        t, n = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+        attn = rng.normal(size=(t, n))
+        attn[rng.random(t) < 0.3] = rng.normal()             # some flat rows
+        sims = sims_of(rng.normal(size=(t, 4)), rng.normal(size=4))
+        selected = select_important_words(sims, float(rng.uniform(0.2, 1.0)))
+        out = textual_map(Tensor(attn), sims, selected)
+        assert np.array_equal(out.data, _per_word_reference(attn, sims.values.data, selected))
+
+
+def test_flat_selected_row_gets_exactly_zero_gradient():
+    # row 1 is constant after the ReLU; rows 0 and 2 are ordinary and both
+    # normalise to 0 at column 1, where the flat row, selected first, wins
+    # the max-pool tie, so only the flat-row mask keeps its gradient at zero
+    attn = Tensor([[0.5, 0.1, 0.9], [0.4, 0.4, 0.4], [0.2, 0.1, 0.3]], requires_grad=True)
+    sims = sims_of([[1.0, 0.0], [1.0, 0.3], [1.0, 0.6]], [1.0, 0.0])
+    out = textual_map(attn, sims, np.array([1, 0, 2]))
+    without_flat = textual_map(Tensor(attn.data), sims, np.array([0, 2]))
+    assert np.array_equal(out.data, without_flat.data)
+    backward(consistency_loss(out, np.array([0.2, 0.9, 0.3])))
+    assert np.array_equal(attn.grad[1], np.zeros(3))
+    assert np.abs(attn.grad[0]).max() > 1e-3          # row 0 wins column 0 mid-range
 
 
 # -- consistency loss ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,12 @@ def test_build_vocab_literal_reserved_tokens_keep_their_ids():
     vocab = build_vocab(["<unk> word <pad> <unk>"])
     assert vocab.id_to_token == ["<pad>", "<bos>", "<eos>", "<unk>", "word"]
     assert tokenize("<unk> word", vocab) == [BOS, UNK, 4, EOS]
+
+
+def test_literal_control_tokens_tokenize_to_unk():
+    vocab = build_vocab(["a b <eos> c"])
+    assert tokenize("a <eos> c", vocab) == [BOS, vocab.id_of("a"), UNK, vocab.id_of("c"), EOS]
+    assert tokenize("<pad> <BOS> <eos>", vocab) == [BOS, UNK, UNK, UNK, EOS]
 
 
 def test_build_vocab_rejects_empty_corpus():
@@ -218,6 +226,21 @@ def test_alignment_roundtrip(tmp_path):
     path = tmp_path / "cells.jsonl"
     save_alignment(path, alignment)
     assert load_alignment(path) == alignment
+
+
+@pytest.mark.parametrize("second, message", [
+    ('{"id": "s2"}', "missing field 'glyphs'"),
+    ('{"glyphs": {"dot": 11}}', "missing field 'id'"),
+    ('{"id": "s2", "glyphs": [11]}', "field 'glyphs' must map glyph names to cell indices"),
+    ('{"id": "s2", "glyphs": {"dot": "11"}}', "field 'glyphs' must map glyph names"),
+    ('{not json', "malformed JSON"),
+    ('["s2", {"dot": 11}]', "expected a JSON object"),
+])
+def test_bad_alignment_record_names_path_and_line(tmp_path, second, message):
+    path = tmp_path / "cells.jsonl"
+    path.write_text(f'{{"id": "s1", "glyphs": {{"cross": 3}}}}\n\n{second}\n')
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
+        load_alignment(path)
 
 
 def test_split_ratios_and_determinism():

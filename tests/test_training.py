@@ -114,10 +114,11 @@ def test_nan_input_aborts_with_batch_dump(tmp_path):
 def test_overflowing_batch_loss_dumps_every_sample_loss(tmp_path):
     # each sample's total is finite, their sum over the batch is not
     train_s, val_s = micro_dataset()
-    with pytest.raises(TrainingDiverged, match="non-finite"):
+    with pytest.raises(TrainingDiverged, match=r"^add produced non-finite values from \(\), \(\);"):
         train(micro_cfg(**{"train.lambda": 1e308}), train_s, val_s, tmp_path / "run")
     dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
     assert len(dump["loss_terms"]) == len(dump["samples"]) == 4
+    assert dump["error"] == "add produced non-finite values from (), ()"
 
 
 def test_empty_split_rejected(tmp_path):
