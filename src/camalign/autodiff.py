@@ -6,8 +6,11 @@ graph into a ``Tape`` (reverse topological order is the creation order of
 the trace) and sweeps it once, accumulating gradients into ``.grad``.
 
 Everything is double precision: correctness is established by finite
-difference checks, not by speed.  Tensors are immutable values; primitives
-never alias their inputs' storage.
+difference checks, not by speed.  Tensors are immutable values: the package
+never writes into a tensor's ``.data`` (``Adam.step`` and ``load_state``
+rebind it to a new array), so ``reshape`` may return a view of its input's
+storage.  Every other primitive returns storage of its own; ``transpose``
+copies so that later products see a contiguous operand.
 """
 from __future__ import annotations
 
@@ -286,7 +289,7 @@ def reshape(a, shape) -> Tensor:
     def backward(g):
         _accumulate(a, g.reshape(in_shape))
 
-    return _make(a.data.reshape(shape).copy(), (a,), backward)
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def getitem(a, key) -> Tensor:

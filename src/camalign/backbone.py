@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ShapeError, Tensor, add, concat, gather_rows, layer_norm,
-                       matmul, mean, relu, reshape, softmax, transpose)
+from .autodiff import (ContractError, ShapeError, Tensor, add, concat, gather_rows,
+                       layer_norm, matmul, mean, relu, reshape, softmax, transpose)
 from .config import ModelSection
 
 
@@ -254,6 +254,34 @@ class DecoderOutput:
         return mean(self.cross_final, axis=0)
 
 
+# -- numpy mirrors of the graph ops, in the same op order, for Decoder.step_fn --
+
+
+def _heads(x: np.ndarray, attn: MultiHeadAttention, name: str, axes) -> np.ndarray:
+    """Project rows with ``attn.w<name>`` and split them into heads, as ``__call__`` does."""
+    y = x @ getattr(attn, "w" + name).data + getattr(attn, "b" + name).data
+    return y.reshape(-1, attn.heads, attn.head_dim).transpose(axes).copy()
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attend(attn: MultiHeadAttention, x, k, v) -> np.ndarray:
+    """Rows x (T,D) attend over keys (H,d,S) and values (H,S,d); output (T,D)."""
+    scores = _softmax((_heads(x, attn, "q", (1, 0, 2)) @ k) * (1.0 / np.sqrt(attn.head_dim)))
+    mixed = (scores @ v).transpose(1, 0, 2).reshape(-1, attn.dim)
+    return mixed @ attn.wo.data + attn.bo.data
+
+
+def _norm(x: np.ndarray, norm: _Norm, eps: float = 1e-5) -> np.ndarray:
+    n = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    return centered / np.sqrt(var + eps) * norm.gain.data + norm.bias.data
+
+
 class Decoder:
     """Embedding lookup, causal blocks over the prefix, vocabulary softmax."""
 
@@ -288,3 +316,58 @@ class Decoder:
             x, cross_scores = block(x, memory, causal)
         logits = add(matmul(x, self.out_w), self.out_b)
         return DecoderOutput(dists=softmax(logits), cross_final=cross_scores)
+
+    def step_fn(self, memory: np.ndarray):
+        """``step(prefix_ids)`` -> next-token log-probs over a fixed memory (N, D).
+
+        Plain numpy on the parameters' values: no graph.  The memory's
+        cross-attention keys/values are projected once; every prefix seen keeps
+        its log-probs and per-layer self-attention keys/values, so a call
+        extends its longest cached ancestor one position at a time.  Equals
+        ``log(clip(self(prefix, memory).dists[-1]))`` up to rounding.
+        """
+        for name, p in self.params().items():
+            if not np.all(np.isfinite(p.data)):
+                raise ContractError(f"decoder parameter {name} holds non-finite values")
+        if memory.shape[0] < 1:
+            raise ShapeError("decoder memory is empty")
+        cross = [(_heads(memory, b.cross_attn, "k", (1, 2, 0)),
+                  _heads(memory, b.cross_attn, "v", (1, 0, 2))) for b in self.blocks]
+        # prefix -> (log-probs, per block (K (H,d,t), V (H,t,d)))
+        cache = {(): (None, [(k[..., :0], v[:, :0]) for k, v in cross])}
+        vocab = self.embedding.shape[0]
+
+        def step(prefix_ids):
+            prefix = tuple(int(i) for i in prefix_ids)
+            if not prefix or min(prefix) < 0 or max(prefix) >= vocab:
+                raise ContractError(f"prefix must be non-empty ids in [0, {vocab}): {prefix}")
+            t = len(prefix)
+            while prefix[:t] not in cache:
+                t -= 1
+            logp, kv = cache[prefix[:t]]
+            while t < len(prefix):
+                t += 1
+                x = self.embedding.data[[prefix[t - 1]]]
+                if self.cfg.pos_enc:
+                    x = x + sinusoid_positions(t, self.cfg.dim)[t - 1:]
+                grown = []
+                for block, (k, v), (mem_k, mem_v) in zip(self.blocks, kv, cross):
+                    k = np.concatenate([k, _heads(x, block.self_attn, "k", (1, 2, 0))], axis=2)
+                    v = np.concatenate([v, _heads(x, block.self_attn, "v", (1, 0, 2))], axis=1)
+                    grown.append((k, v))
+                    x = _norm(x + _attend(block.self_attn, x, k, v), block.norm1)
+                    x = _norm(x + _attend(block.cross_attn, x, mem_k, mem_v), block.norm2)
+                    ffn = block.ffn
+                    hidden = x @ ffn.w1.data + ffn.b1.data
+                    hidden = np.where(hidden > 0.0, hidden, 0.0)
+                    x = _norm(x + (hidden @ ffn.w2.data + ffn.b2.data), block.norm3)
+                kv = grown
+                dists = _softmax(x @ self.out_w.data + self.out_b.data)
+                logp = np.log(np.clip(dists[-1], 1e-300, 1.0))
+                if not np.all(np.isfinite(logp)):
+                    raise ContractError(f"decoder step produced non-finite log-probs at {prefix[:t]}")
+                logp.flags.writeable = False   # shared with the cache
+                cache[prefix[:t]] = (logp, kv)
+            return logp
+
+        return step

@@ -2,7 +2,9 @@
 
 Both work against a step function mapping a prefix (list of token ids,
 starting with BOS) to a log-probability vector over the vocabulary, so toy
-language models and the real decoder share the same code path.
+language models and the real decoder share the same code path.  A step
+function may keep state between calls (the model's caches every prefix it
+has seen), so make one per sample.
 """
 from __future__ import annotations
 
@@ -57,7 +59,10 @@ def beam_search(step_fn, width: int, max_len: int, bos: int = BOS, eos: int = EO
                 candidates.append(beam)
                 continue
             logp = step_fn([bos, *beam.ids])
-            for token in range(len(logp)):
+            # Beam.score of every extension; past this beam's own best ``width``
+            # an extension cannot reach the top ``width`` overall
+            scores = (beam.log_prob + logp) / (len(beam.ids) + 1)
+            for token in np.argsort(-scores, kind="stable")[:width].tolist():
                 candidates.append(Beam(
                     ids=beam.ids + (token,),
                     log_prob=beam.log_prob + float(logp[token]),

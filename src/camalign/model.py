@@ -153,14 +153,7 @@ class CaptionModel:
     def step_fn(self, images):
         """Next-token log-probability closure over a frozen encoding."""
         memory, _, _, _ = self.encode_images(images)
-        memory_const = Tensor(memory.data)
-
-        def step(prefix_ids):
-            out = self.decoder(list(prefix_ids), memory_const)
-            p = np.clip(out.dists.data[-1], 1e-300, 1.0)
-            return np.log(p)
-
-        return step
+        return self.decoder.step_fn(memory.data)
 
 
 def build_model(cfg: RunConfig, vocab_size: int, rng) -> CaptionModel:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camalign.data import BOS, EOS
 from camalign.decoding import Beam, beam_search, greedy_decode
@@ -93,3 +95,41 @@ def test_invalid_arguments_rejected():
 def test_beam_score_is_length_normalized():
     beam = Beam(ids=(3, 4, EOS), log_prob=-1.5)
     assert beam.score == pytest.approx(-0.5)
+
+
+def beam_search_whole_vocabulary(step_fn, width, max_len, bos=BOS, eos=EOS):
+    """Reference: every beam expands over the whole vocabulary before the cut."""
+    beams = [Beam(ids=())]
+    for _ in range(max_len):
+        candidates = []
+        for beam in beams:
+            if beam.finished:
+                candidates.append(beam)
+                continue
+            logp = step_fn([bos, *beam.ids])
+            for token in range(len(logp)):
+                candidates.append(Beam(ids=beam.ids + (token,),
+                                       log_prob=beam.log_prob + float(logp[token]),
+                                       finished=token == eos))
+        candidates.sort(key=lambda b: (-b.score, b.ids))
+        beams = candidates[:width]
+        if all(b.finished for b in beams):
+            break
+    return list(min(beams, key=lambda b: (-b.score, b.ids)).ids)
+
+
+def tied_lm(seed, vocab, levels):
+    """Toy LM whose log-probs take few distinct values, so scores tie often."""
+    def step(prefix):
+        rng = np.random.default_rng([seed, len(prefix), *prefix])
+        return -0.5 * rng.integers(0, levels, size=vocab)
+    return step
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), vocab=st.integers(2, 7), levels=st.integers(1, 4),
+       width=st.integers(1, 6), max_len=st.integers(1, 6))
+def test_beam_search_equals_whole_vocabulary_expansion(seed, vocab, levels, width, max_len):
+    for step in (tied_lm(seed, vocab, levels), toy_lm(seed, vocab)):
+        assert (beam_search(step, width, max_len)
+                == beam_search_whole_vocabulary(step, width, max_len))

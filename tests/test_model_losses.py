@@ -1,11 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from camalign.autodiff import ContractError, Tensor, backward, grad_of
 from camalign.config import ModelSection
 from camalign.data import PAD, SyntheticSpec, build_vocab, generate_synthetic, tokenize
+from camalign.decoding import beam_search, greedy_decode
 from camalign.losses import composite_loss, label_bce, report_cross_entropy
 from camalign.model import CaptionModel
+from camalign.training import generate_report
 
 
 # -- loss terms ---------------------------------------------------------------------
@@ -209,3 +214,95 @@ def test_step_fn_consistent_with_decoder():
     logp = step([1, 5])
     assert logp.shape == (len(vocab),)
     assert abs(np.exp(logp).sum() - 1.0) < 1e-9
+
+
+# -- cached decoder step -------------------------------------------------------------
+
+
+def reference_logp(model, prefix, memory):
+    """The teacher-forced decoder's last row: what a step must return."""
+    dists = model.decoder(list(prefix), Tensor(memory)).dists.data
+    return np.log(np.clip(dists[-1], 1e-300, 1.0))
+
+
+def step_setup(layers, pos_enc, views):
+    spec = SyntheticSpec(grid=8, patches=2, classes=("solid", "cross", "dot"),
+                         glyph_min=1, glyph_max=2, samples=6, seed=3, views=views)
+    samples, _ = generate_synthetic(spec)
+    vocab = build_vocab([s.report for s in samples])
+    cfg = ModelSection(layers=layers, heads=2, dim=8, feat_dim=6, patch=4, classes=3,
+                       max_len=12, pos_enc=pos_enc)
+    model = CaptionModel(cfg, len(vocab), "full", np.random.default_rng(layers))
+    return model, samples[0]
+
+
+@pytest.mark.parametrize("views", [1, 2])
+@pytest.mark.parametrize("pos_enc", [True, False])
+@pytest.mark.parametrize("layers", [0, 2])
+def test_step_equals_decoder_on_every_visited_prefix(layers, pos_enc, views):
+    model, sample = step_setup(layers, pos_enc, views)
+    memory = model.encode_images(sample.images)[0].data
+    assert memory.shape[0] == 4 * views
+    step, visited = model.step_fn(sample.images), []
+
+    def recording(prefix):
+        visited.append(tuple(prefix))
+        return step(prefix)
+
+    greedy_decode(recording, 8)
+    beam_search(recording, 3, 8)
+    assert len(set(visited)) > 8
+    for prefix in visited:
+        np.testing.assert_allclose(step(prefix), reference_logp(model, prefix, memory),
+                                   rtol=0, atol=1e-12)
+
+
+def test_step_on_a_prefix_whose_parents_were_never_seen():
+    model, sample = step_setup(2, True, 1)
+    memory = model.encode_images(sample.images)[0].data
+    prefix = [1, 5, 7, 3, 4]
+    cold = model.step_fn(sample.images)(prefix)
+    warm_step = model.step_fn(sample.images)
+    for t in range(1, len(prefix) + 1):
+        warm = warm_step(prefix[:t])
+    assert np.array_equal(cold, warm)
+    np.testing.assert_allclose(cold, reference_logp(model, prefix, memory), rtol=0, atol=1e-12)
+
+
+def test_step_rejects_empty_and_out_of_range_prefixes():
+    model, samples, vocab = micro_setup("full")
+    step = model.step_fn(samples[0].images)
+    for prefix in ([], [1, len(vocab)], [1, -1]):
+        with pytest.raises(ContractError):
+            step(prefix)
+
+
+def test_step_closure_is_freed_without_the_cycle_collector():
+    # a cycle through the closure would keep every sample's cache alive until gc runs
+    model, samples, _ = micro_setup("full")
+    step = model.step_fn(samples[0].images)
+    beam_search(step, 3, 6)
+    alive = weakref.ref(step)
+    gc.disable()
+    try:
+        del step
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("beam", [1, 3])
+def test_non_finite_decoder_weight_fails_generation(beam):
+    # a NaN in ffn.w1 would otherwise be zeroed by the ReLU and decode garbage
+    model, samples, vocab = micro_setup("full")
+    model.decoder.blocks[0].ffn.w1.data[:, 0] = np.nan
+    with pytest.raises(ContractError, match="ffn.w1"):
+        generate_report(model, samples[0], vocab, beam, 8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_decoder_step_fails_generation():
+    model, samples, vocab = micro_setup("full")
+    model.decoder.out_w.data = np.full_like(model.decoder.out_w.data, 1e308)
+    with pytest.raises(ContractError, match="non-finite"):
+        generate_report(model, samples[0], vocab, 1, 8)
