@@ -4,15 +4,24 @@ they write, so a refactor that claims unchanged behaviour can be compared
 against its parent commit line by line.
 
     python3 scripts/fingerprint.py --out runs/fingerprint
+    python3 scripts/fingerprint.py --out runs/new --against runs/old
 
 Each variant trains on the criterion-8 profile (run seed 5, data seed 5,
 140 train / 20 validation samples, 2 epochs, patience 2), then decodes 8
-held-out samples with beam 3.  One line per variant gives the first 16 hex
-digits of the sha256 of ``metrics.jsonl``, ``checkpoint_best.bin``,
-``checkpoint_last.bin`` and the beam-3 candidates joined by newlines.
+held-out samples with beam 3 and writes them to ``beam3.txt`` in its run
+dir.  One line per variant gives the first 16 hex digits of the sha256 of
+``metrics.jsonl``, ``checkpoint_best.bin``, ``checkpoint_last.bin`` and the
+beam-3 candidates joined by newlines.
+
+``--against DIR`` names an earlier ``--out`` directory.  For each variant it
+then also prints the largest absolute difference of any numeric
+``metrics.jsonl`` field and whether the beam-3 candidates are identical, so
+a change that only moves rounding shows how far it moved.
 """
 import argparse
 import hashlib
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,10 +42,23 @@ def digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def metric_drift(new: Path, old: Path) -> float:
+    """Largest |new - old| over the numeric fields of two metrics logs; inf
+    when they differ in records, fields or any text field."""
+    new_rows, old_rows = ([json.loads(line) for line in path.read_text().splitlines()]
+                          for path in (new, old))
+    if [row.keys() for row in new_rows] != [row.keys() for row in old_rows]:
+        return math.inf
+    return max((abs(v - b[k]) if isinstance(v, (int, float)) else 0.0 if v == b[k] else math.inf)
+               for a, b in zip(new_rows, old_rows) for k, v in a.items())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="runs/fingerprint")
+    parser.add_argument("--against", type=Path,
+                        help="an earlier --out directory to measure drift against")
     args = parser.parse_args()
 
     for variant, views, glyph_max in RUNS:
@@ -47,11 +69,17 @@ def main() -> int:
         cfg = load_config(None, {**PROFILE, "train.variant": variant})
         run_dir = Path(args.out) / variant
         result = train(cfg, samples[:N_TRAIN], samples[N_TRAIN:N_TRAIN + N_VAL], run_dir)
-        beams = [generate_report(result.model, s, result.vocab, 3, cfg.decode.max_len)
-                 for s in samples[N_TRAIN + N_VAL:]]
+        beams = "\n".join(generate_report(result.model, s, result.vocab, 3, cfg.decode.max_len)
+                          for s in samples[N_TRAIN + N_VAL:])
+        (run_dir / "beam3.txt").write_text(beams)
         hashes = [digest((run_dir / name).read_bytes())
                   for name in ("metrics.jsonl", "checkpoint_best.bin", "checkpoint_last.bin")]
-        print(variant, *hashes, digest("\n".join(beams).encode()))
+        print(variant, *hashes, digest(beams.encode()))
+        if args.against:
+            old = args.against / variant
+            drift = metric_drift(run_dir / "metrics.jsonl", old / "metrics.jsonl")
+            same = (old / "beam3.txt").read_text() == beams
+            print(f"  metric drift {drift:.3g}; beam-3 candidates {'identical' if same else 'DIFFER'}")
     return 0
 
 

@@ -31,7 +31,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        # Validated after every primitive; trips early on exp/log blowups
+        # Validated after every primitive; trips early on overflow
         # instead of letting NaNs propagate into the optimiser.
         if not np.all(np.isfinite(arr)):
             raise ContractError("tensor holds non-finite values")
@@ -189,25 +189,6 @@ def div(a, b) -> Tensor:
     return _make(a.data / b.data, (a, b), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
@@ -226,18 +207,6 @@ def relu(a) -> Tensor:
         _accumulate(a, g * keep)
 
     return _make(np.where(keep, a.data, 0.0), (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    # stable in both tails
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -293,12 +262,16 @@ def reshape(a, shape) -> Tensor:
 
 
 def getitem(a, key) -> Tensor:
-    """Basic slicing; the result owns its storage."""
+    """Slicing or integer-array indexing; the result owns its storage."""
     a = as_tensor(a)
+    fancy = any(np.ndim(k) for k in (key if isinstance(key, tuple) else (key,)))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[key] += g
+        if fancy:   # repeated indices accumulate; slices cannot repeat and skip slow add.at
+            np.add.at(full, key, g)
+        else:
+            full[key] += g
         _accumulate(a, full)
 
     return _make(np.array(a.data[key]), (a,), backward)
@@ -388,15 +361,12 @@ def tmin(a, axis=None, keepdims: bool = False) -> Tensor:
 # -- fused numerical primitives ----------------------------------------------
 
 
-def softmax(a, mask=None) -> Tensor:
+def softmax_values(x: np.ndarray, mask=None) -> np.ndarray:
     """Row-wise softmax over the last axis, stabilised by max-subtraction.
 
-    ``mask`` is an optional boolean array (broadcastable to ``a``); masked-out
-    entries get exactly zero probability and zero gradient.  Every row must
-    keep at least one entry.
+    ``mask`` (boolean, broadcastable to ``x``) gives masked-out entries exactly
+    zero probability; every row must keep at least one entry.
     """
-    a = as_tensor(a)
-    x = a.data
     if mask is not None:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         if not mask.any(axis=-1).all():
@@ -406,13 +376,36 @@ def softmax(a, mask=None) -> Tensor:
         e = np.where(mask, np.exp(shifted), 0.0)
     else:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax(a, mask=None) -> Tensor:
+    """``softmax_values`` on the graph; masked-out entries get zero gradient."""
+    a = as_tensor(a)
+    p = softmax_values(a.data, mask)
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
         _accumulate(a, p * (g - inner))
 
     return _make(p, (a,), backward)
+
+
+def log_softmax_values(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax over the last axis: shifted log-sum-exp, never clipped."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def log_softmax(a) -> Tensor:
+    """``log_softmax_values`` on the graph: log-probabilities from logits."""
+    a = as_tensor(a)
+    out_data = log_softmax_values(a.data)
+
+    def backward(g):
+        _accumulate(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
+
+    return _make(out_data, (a,), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

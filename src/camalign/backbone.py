@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ContractError, ShapeError, Tensor, add, concat, gather_rows,
-                       layer_norm, matmul, mean, relu, reshape, softmax, transpose)
+                       layer_norm, log_softmax, log_softmax_values, matmul, mean, relu,
+                       reshape, softmax, softmax_values, transpose)
 from .config import ModelSection
 
 
@@ -243,9 +244,9 @@ class DecoderBlock:
 
 @dataclass
 class DecoderOutput:
-    """Next-token distributions and the final layer's per-head cross-attention."""
+    """Next-token log-probabilities and the final layer's per-head cross-attention."""
 
-    dists: Tensor                # (T, vocab) next-token distributions
+    log_probs: Tensor            # (T, vocab) next-token log-probabilities
     cross_final: Tensor          # (H, T, N) final-layer attention over visual tokens
 
     @property
@@ -263,14 +264,9 @@ def _heads(x: np.ndarray, attn: MultiHeadAttention, name: str, axes) -> np.ndarr
     return y.reshape(-1, attn.heads, attn.head_dim).transpose(axes).copy()
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _attend(attn: MultiHeadAttention, x, k, v) -> np.ndarray:
     """Rows x (T,D) attend over keys (H,d,S) and values (H,S,d); output (T,D)."""
-    scores = _softmax((_heads(x, attn, "q", (1, 0, 2)) @ k) * (1.0 / np.sqrt(attn.head_dim)))
+    scores = softmax_values((_heads(x, attn, "q", (1, 0, 2)) @ k) * (1.0 / np.sqrt(attn.head_dim)))
     mixed = (scores @ v).transpose(1, 0, 2).reshape(-1, attn.dim)
     return mixed @ attn.wo.data + attn.bo.data
 
@@ -283,7 +279,7 @@ def _norm(x: np.ndarray, norm: _Norm, eps: float = 1e-5) -> np.ndarray:
 
 
 class Decoder:
-    """Embedding lookup, causal blocks over the prefix, vocabulary softmax."""
+    """Embedding lookup, causal blocks over the prefix, vocabulary log-softmax."""
 
     def __init__(self, cfg: ModelSection, vocab: int, rng):
         self.cfg = cfg
@@ -315,7 +311,7 @@ class Decoder:
         for block in self.blocks:
             x, cross_scores = block(x, memory, causal)
         logits = add(matmul(x, self.out_w), self.out_b)
-        return DecoderOutput(dists=softmax(logits), cross_final=cross_scores)
+        return DecoderOutput(log_probs=log_softmax(logits), cross_final=cross_scores)
 
     def step_fn(self, memory: np.ndarray):
         """``step(prefix_ids)`` -> next-token log-probs over a fixed memory (N, D).
@@ -324,7 +320,7 @@ class Decoder:
         cross-attention keys/values are projected once; every prefix seen keeps
         its log-probs and per-layer self-attention keys/values, so a call
         extends its longest cached ancestor one position at a time.  Equals
-        ``log(clip(self(prefix, memory).dists[-1]))`` up to rounding.
+        ``self(prefix, memory).log_probs[-1]`` up to rounding.
         """
         for name, p in self.params().items():
             if not np.all(np.isfinite(p.data)):
@@ -362,8 +358,7 @@ class Decoder:
                     hidden = np.where(hidden > 0.0, hidden, 0.0)
                     x = _norm(x + (hidden @ ffn.w2.data + ffn.b2.data), block.norm3)
                 kv = grown
-                dists = _softmax(x @ self.out_w.data + self.out_b.data)
-                logp = np.log(np.clip(dists[-1], 1e-300, 1.0))
+                logp = log_softmax_values(x @ self.out_w.data + self.out_b.data)[-1]
                 if not np.all(np.isfinite(logp)):
                     raise ContractError(f"decoder step produced non-finite log-probs at {prefix[:t]}")
                 logp.flags.writeable = False   # shared with the cache

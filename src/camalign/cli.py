@@ -176,7 +176,7 @@ def cmd_inspect_maps(args) -> int:
             "this run used the base variant, which has none.\n")
     else:
         meta["presence"] = [int(v) for v in result.presence]
-        meta["probabilities"] = [float(v) for v in result.probs.data]
+        meta["probabilities"] = [float(v) for v in result.probs]
         for seg, (start, stop) in enumerate(zip(starts[:-1], starts[1:])):
             side = int(round(np.sqrt(stop - start)))
             _write_grid_csv(out / f"vdm_seg{seg}.csv", result.visual_map[start:stop], side)

@@ -136,9 +136,12 @@ def load_dataset(path, expected_classes: int = None) -> list:
     for where, record in read_jsonl(path):
         for key in ("id", "images", "report", "labels"):
             require_field(where, record, key)
-        if expected_classes is not None and len(record["labels"]) != expected_classes:
+        labels = record["labels"]
+        if not isinstance(labels, list) or any(v not in (0, 1) for v in labels):
+            raise DataError(f"{where}: labels must be a list of 0/1 values, got {labels!r}")
+        if expected_classes is not None and len(labels) != expected_classes:
             raise DataError(
-                f"{where}: labels length {len(record['labels'])} != expected {expected_classes}")
+                f"{where}: labels length {len(labels)} != expected {expected_classes}")
         images = []
         for flat in record["images"]:
             side = int(round(len(flat) ** 0.5))
@@ -148,7 +151,7 @@ def load_dataset(path, expected_classes: int = None) -> list:
         samples.append(Sample(
             id=str(record["id"]), images=images,
             report=str(record["report"]),
-            labels=np.asarray(record["labels"], dtype=np.int64)))
+            labels=np.asarray(labels, dtype=np.int64)))
     return samples
 
 

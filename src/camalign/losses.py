@@ -5,10 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, ShapeError, Tensor, clip, log, mul, tsum
+from .autodiff import (ContractError, ShapeError, Tensor, concat, log_softmax, mean,
+                       reshape)
 from .data import PAD
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass
@@ -27,30 +26,31 @@ class LossBreakdown:
         return {"ce": self.ce, "bce": self.bce, "mse": self.mse, "total": self.total}
 
 
-def report_cross_entropy(dists: Tensor, targets, pad_id: int = PAD) -> Tensor:
+def report_cross_entropy(log_probs: Tensor, targets) -> Tensor:
     """Mean -log p(target) over non-pad positions (teacher forcing)."""
     targets = np.asarray(targets, dtype=np.int64)
-    if dists.ndim != 2 or dists.shape[0] != targets.shape[0]:
-        raise ShapeError(f"distributions {dists.shape} vs targets {targets.shape}")
-    keep = targets != pad_id
-    if not keep.any():
+    if log_probs.ndim != 2 or log_probs.shape[0] != targets.shape[0]:
+        raise ShapeError(f"log-probabilities {log_probs.shape} vs targets {targets.shape}")
+    rows = np.flatnonzero(targets != PAD)
+    if rows.size == 0:
         raise ContractError("cross entropy over an all-pad target")
-    hot = np.zeros(dists.shape)
-    hot[np.arange(targets.size)[keep], targets[keep]] = 1.0
-    picked = tsum(mul(dists, Tensor(hot)), axis=1)          # (T,), zeros at pads
-    picked = picked + Tensor((~keep).astype(np.float64))    # pads contribute log(1) = 0
-    return -tsum(log(clip(picked, PROB_FLOOR, 1.0))) * (1.0 / keep.sum())
+    return -mean(log_probs[rows, targets[rows]])
 
 
-def label_bce(probs: Tensor, labels) -> Tensor:
-    """Mean binary cross entropy over classes, probabilities clamped."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if probs.shape != labels.shape:
-        raise ShapeError(f"probabilities {probs.shape} vs labels {labels.shape}")
-    p = clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    y = Tensor(labels)
-    per_class = mul(y, log(p)) + mul(1.0 - y, log(1.0 - p))
-    return -tsum(per_class) * (1.0 / labels.size)
+def label_bce(logits: Tensor, labels) -> Tensor:
+    """Mean binary cross entropy over classes, from logits.
+
+    Class c is a two-way log-softmax over ``(0, logit_c)``, whose entries are
+    ``(log(1 - p_c), log p_c)``; the 0/1 label picks one.
+    """
+    labels = np.asarray(labels)
+    if logits.shape != labels.shape or logits.ndim != 1:
+        raise ShapeError(f"logits {logits.shape} vs labels {labels.shape}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractError(f"labels must be 0 or 1, got {labels.tolist()}")
+    n = labels.size
+    pairs = concat([Tensor(np.zeros((n, 1))), reshape(logits, (n, 1))], axis=1)
+    return -mean(log_softmax(pairs)[np.arange(n), labels.astype(np.int64)])
 
 
 def composite_loss(ce: Tensor, bce, mse, lam: float, delta: float):

@@ -33,7 +33,7 @@ class ForwardResult:
     visual_map: np.ndarray = None
     cams: np.ndarray = None
     presence: np.ndarray = None
-    probs: Tensor = None
+    probs: np.ndarray = None
     sims: "consistency.WordSimilarities" = None
     selected: np.ndarray = None
     text_map: Tensor = None
@@ -123,14 +123,14 @@ class CaptionModel:
         prefix = report_ids[:-1]
         targets = np.asarray(report_ids[1:], dtype=np.int64)
         out = self.decoder(prefix, memory)
-        ce = report_cross_entropy(out.dists, targets)
+        ce = report_cross_entropy(out.log_probs, targets)
 
         bce = mse = None
         visual = cams = presence = probs = sims = selected = text_map = None
         if self.variant != "base":
             probs = map_result.probs.probs
             presence, cams, visual = map_result.presence, map_result.cams, map_result.visual_map
-            bce = label_bce(probs, labels)
+            bce = label_bce(map_result.probs.logits, labels)
         if self.variant == "full":
             embeddings = self.decoder.embed_words(prefix)
             content = np.array([t not in (PAD, BOS, EOS, UNK) for t in prefix])

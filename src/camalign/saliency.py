@@ -4,7 +4,7 @@ activation map pipeline that turns its weights into a visual saliency map.
 The map aggregation (ReLU, min-max per class, elementwise max over present
 classes) runs on plain arrays: the aggregated map is consumed everywhere as
 a constant target, so no gradient flows through it.  The classification
-probabilities themselves stay on the autodiff graph for the label loss.
+logits stay on the autodiff graph for the label loss.
 """
 from __future__ import annotations
 
@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, matmul, mean, sigmoid, transpose
+from .autodiff import ShapeError, Tensor, matmul, mean, transpose
 
 PRESENCE_THRESHOLD = 0.5
 
 
 @dataclass
 class ClassProbabilities:
-    probs: Tensor            # (classes,) on-graph sigmoid outputs
-    logits: Tensor           # (classes,) pre-sigmoid
+    probs: np.ndarray        # (classes,) sigmoid of the logits, off the graph
+    logits: Tensor           # (classes,) on-graph, for the label loss
     presence: np.ndarray     # (classes,) 0/1, strictly-above-threshold rule
 
 
@@ -31,10 +31,11 @@ def classify_global(tokens: Tensor, class_head: Tensor) -> ClassProbabilities:
     to absent.
     """
     pooled = mean(tokens, axis=0, keepdims=True)            # (1, C)
-    logits = matmul(pooled, transpose(class_head))          # (1, classes)
-    probs = sigmoid(logits)
-    presence = (probs.data[0] > PRESENCE_THRESHOLD).astype(np.int64)
-    return ClassProbabilities(probs=probs[0, :], logits=logits[0, :], presence=presence)
+    logits = matmul(pooled, transpose(class_head))[0, :]    # (classes,)
+    e = np.exp(-np.abs(logits.data))                        # stable in both tails
+    probs = np.where(logits.data >= 0, 1.0, e) / (1.0 + e)
+    presence = (probs > PRESENCE_THRESHOLD).astype(np.int64)
+    return ClassProbabilities(probs=probs, logits=logits, presence=presence)
 
 
 def class_activation_map(feats: np.ndarray, class_head: np.ndarray, class_idx: int) -> np.ndarray:
@@ -89,6 +90,6 @@ def visual_map_from_features(tokens: Tensor, class_head: Tensor) -> VisualMapRes
     cams = cams.T.copy()                                     # (classes, N)
     chosen = np.flatnonzero(result.presence)
     if chosen.size == 0:
-        chosen = np.array([int(np.argmax(result.probs.data))])
+        chosen = np.array([int(np.argmax(result.probs))])
     visual = aggregate_visual_map([normalize_map(cams[i]) for i in chosen])
     return VisualMapResult(visual_map=visual, cams=cams, presence=result.presence, probs=result)

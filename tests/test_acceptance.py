@@ -129,7 +129,7 @@ def test_criterion_2_detach_contract():
     result = forward(model, sample, vocab, cfg)
     ids = tokenize(sample.report, vocab)
 
-    ce = report_cross_entropy(result.decoder.dists, ids[1:])
+    ce = report_cross_entropy(result.decoder.log_probs, ids[1:])
     backward(ce)
     ce_grad_zero = np.array_equal(grad_of(result.summary),
                                   np.zeros_like(result.summary.data))
@@ -139,9 +139,9 @@ def test_criterion_2_detach_contract():
     mse_grad_nonzero = np.abs(grad_of(result2.summary)).sum() > 0
 
     memory, summary, _, _ = model.encode_images(sample.images)
-    before = model.decoder(ids[:-1], memory).dists.data
+    before = model.decoder(ids[:-1], memory).log_probs.data
     summary.data += 123.456
-    after = model.decoder(ids[:-1], memory).dists.data
+    after = model.decoder(ids[:-1], memory).log_probs.data
     bit_identical = np.array_equal(before, after)
 
     report(2, "detach contract", ce_grad_zero and mse_grad_nonzero and bit_identical,

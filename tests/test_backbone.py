@@ -214,8 +214,8 @@ def test_decoder_distributions_and_cross_rows_sum_to_one(cfg, rng):
     dec = Decoder(cfg, VOCAB, rng)
     memory = Tensor(rng.normal(size=(4, cfg.dim)))
     out = dec([1, 5, 6], memory)
-    assert out.dists.shape == (3, VOCAB)
-    assert np.abs(out.dists.data.sum(axis=1) - 1.0).max() < 1e-9
+    assert out.log_probs.shape == (3, VOCAB)
+    assert np.abs(np.exp(out.log_probs.data).sum(axis=1) - 1.0).max() < 1e-9
     assert out.cross_final.shape == (cfg.heads, 3, 4)
     assert np.abs(out.cross_final.data.sum(axis=-1) - 1.0).max() < 1e-9
     avg = out.cross_final_avg
@@ -227,8 +227,8 @@ def test_decoder_distributions_and_cross_rows_sum_to_one(cfg, rng):
 def test_decoder_causality_by_perturbation(cfg, rng):
     dec = Decoder(cfg, VOCAB, rng)
     memory = Tensor(rng.normal(size=(4, cfg.dim)))
-    base = dec([1, 5, 6, 7], memory).dists.data
-    changed = dec([1, 5, 9, 7], memory).dists.data    # edit position 2
+    base = dec([1, 5, 6, 7], memory).log_probs.data
+    changed = dec([1, 5, 9, 7], memory).log_probs.data    # edit position 2
     assert np.array_equal(base[:2], changed[:2])      # positions before stay bit-identical
     assert not np.allclose(base[2:], changed[2:])
 
@@ -257,8 +257,8 @@ def test_embed_words_lookup_semantics(cfg, rng):
 def test_decode_deterministic(cfg, rng):
     dec = Decoder(cfg, VOCAB, rng)
     memory = Tensor(rng.normal(size=(4, cfg.dim)))
-    a = dec([1, 5, 6], memory).dists.data
-    b = dec([1, 5, 6], memory).dists.data
+    a = dec([1, 5, 6], memory).log_probs.data
+    b = dec([1, 5, 6], memory).log_probs.data
     assert np.array_equal(a, b)
 
 
@@ -277,7 +277,7 @@ def test_backbone_gradient_check_micro(rng):
         feats = extractor([image])
         memory = enc(feats.tokens, segments=feats.segments)
         out = dec([1, 5, 6], memory)
-        return tsum(out.dists * weight)
+        return tsum(out.log_probs * weight)
 
     params = {**extractor.params(), **enc.params(), **dec.params()}
     sampled = [params[name] for name in

@@ -221,6 +221,15 @@ def test_label_length_mismatch_is_schema_error(tmp_path):
         load_dataset(path, expected_classes=3)
 
 
+@pytest.mark.parametrize("labels", ["[2, 0.7, -1]", "[1, 0.5]", '[1, "0"]', '"10"'])
+def test_labels_other_than_zero_or_one_name_path_and_line(tmp_path, labels):
+    path = tmp_path / "bad.jsonl"
+    good = '{"id": "a", "images": [[0.0]], "report": "x", "labels": [1, 0]}'
+    path.write_text(f'{good}\n{{"id": "b", "images": [[0.0]], "report": "x", "labels": {labels}}}\n')
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: labels must be")):
+        load_dataset(path)
+
+
 def test_alignment_roundtrip(tmp_path):
     alignment = {"s1": {"cross": 3}, "s2": {"dot": 11, "solid": 40}}
     path = tmp_path / "cells.jsonl"

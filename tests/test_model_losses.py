@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from camalign.autodiff import ContractError, Tensor, backward, grad_of
+from camalign.autodiff import ContractError, Tensor, backward, grad_of, log_softmax
 from camalign.config import ModelSection
 from camalign.data import PAD, SyntheticSpec, build_vocab, generate_synthetic, tokenize
 from camalign.decoding import beam_search, greedy_decode
@@ -17,46 +17,96 @@ from camalign.training import generate_report
 
 
 def test_cross_entropy_zero_when_certain():
-    dists = Tensor(np.eye(3)[[0, 2, 1]])
-    assert float(report_cross_entropy(dists, [0, 2, 1]).data) == pytest.approx(0.0, abs=1e-9)
+    log_probs = log_softmax(Tensor(50.0 * np.eye(3)[[0, 2, 1]]))
+    assert float(report_cross_entropy(log_probs, [0, 2, 1]).data) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cross_entropy_uniform_closed_form():
-    dists = Tensor(np.full((2, 4), 0.25))
-    out = report_cross_entropy(dists, [1, 3])
+    log_probs = Tensor(np.full((2, 4), np.log(0.25)))
+    out = report_cross_entropy(log_probs, [1, 3])
     assert float(out.data) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_cross_entropy_ignores_pads():
-    dists = Tensor(np.full((2, 4), 0.25))
-    base = report_cross_entropy(dists, [1, 3])
-    padded = Tensor(np.full((4, 4), 0.25))
+    log_probs = Tensor(np.full((2, 4), np.log(0.25)))
+    base = report_cross_entropy(log_probs, [1, 3])
+    padded = Tensor(np.full((4, 4), np.log(0.25)))
     with_pads = report_cross_entropy(padded, [1, 3, PAD, PAD])
     assert float(base.data) == pytest.approx(float(with_pads.data), abs=1e-15)
 
 
 def test_cross_entropy_rejects_all_pad():
     with pytest.raises(ContractError):
-        report_cross_entropy(Tensor(np.full((2, 4), 0.25)), [PAD, PAD])
+        report_cross_entropy(Tensor(np.full((2, 4), np.log(0.25))), [PAD, PAD])
 
 
 def test_bce_zero_when_matching():
-    probs = Tensor(np.array([1.0 - 1e-12, 1e-12, 1.0 - 1e-12]))
-    out = label_bce(probs, np.array([1, 0, 1]))
+    logits = Tensor(np.array([30.0, -30.0, 30.0]))
+    out = label_bce(logits, np.array([1, 0, 1]))
     assert float(out.data) < 1e-10
 
 
 def test_bce_half_closed_form():
-    out = label_bce(Tensor(np.full(3, 0.5)), np.array([1, 0, 1]))
+    out = label_bce(Tensor(np.zeros(3)), np.array([1, 0, 1]))
     assert float(out.data) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_bce_flip_symmetry(rng):
     p = rng.uniform(0.05, 0.95, size=4)
+    logits = np.log(p / (1.0 - p))
     y = np.array([1, 0, 1, 0])
-    a = float(label_bce(Tensor(p), y).data)
-    b = float(label_bce(Tensor(1.0 - p), 1 - y).data)
+    a = float(label_bce(Tensor(logits), y).data)
+    b = float(label_bce(Tensor(-logits), 1 - y).data)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("labels", [[2, 0, 1], [1, -1, 0], [0.7, 0, 1]])
+def test_bce_rejects_labels_other_than_zero_or_one(labels):
+    with pytest.raises(ContractError, match="labels must be 0 or 1"):
+        label_bce(Tensor(np.zeros(3)), np.array(labels))
+
+
+def test_cross_entropy_saturated_wrong_token_keeps_its_gradient():
+    logits = Tensor(np.array([[40.0, 0.0, 0.0]]), requires_grad=True)
+    loss = report_cross_entropy(log_softmax(logits), [1])
+    backward(loss)
+    assert float(loss.data) == pytest.approx(40.0, abs=1e-12)
+    np.testing.assert_allclose(logits.grad, [[1.0, -1.0, 0.0]], rtol=0, atol=1e-12)
+
+
+def test_bce_saturated_wrong_class_keeps_its_gradient():
+    logits = Tensor(np.array([40.0, -40.0]), requires_grad=True)
+    loss = label_bce(logits, np.array([0, 1]))
+    backward(loss)
+    assert float(loss.data) == pytest.approx(40.0, abs=1e-12)
+    np.testing.assert_allclose(logits.grad, [0.5, -0.5], rtol=0, atol=1e-12)
+
+
+def probability_space_cross_entropy(logits, targets):
+    """The softmax-then-clipped-log formula the logit form replaced."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    rows = np.flatnonzero(targets != PAD)
+    return -np.log(np.clip(p[rows, targets[rows]], 1e-12, 1.0)).sum() / rows.size
+
+
+def probability_space_bce(logits, labels):
+    """The sigmoid-then-clipped-log formula the logit form replaced."""
+    e = np.exp(-np.abs(logits))
+    p = np.clip(np.where(logits >= 0, 1.0, e) / (1.0 + e), 1e-12, 1.0 - 1e-12)
+    return -(labels * np.log(p) + (1 - labels) * np.log(1.0 - p)).sum() / labels.size
+
+
+def test_logit_losses_equal_probability_space_losses_when_unsaturated(rng):
+    for _ in range(20):
+        logits = rng.normal(size=(6, 9)) * 4
+        targets = rng.integers(0, 9, size=6)
+        ce = report_cross_entropy(log_softmax(Tensor(logits)), targets)
+        assert abs(float(ce.data) - probability_space_cross_entropy(logits, targets)) < 1e-12
+        class_logits = rng.normal(size=5) * 2
+        labels = rng.integers(0, 2, size=5)
+        bce = label_bce(Tensor(class_logits), labels)
+        assert abs(float(bce.data) - probability_space_bce(class_logits, labels)) < 1e-12
 
 
 def test_composite_weighted_sum_hand_case():
@@ -131,7 +181,7 @@ def test_detach_contract_on_model():
     model, samples, vocab = micro_setup("full")
     result = run_forward(model, samples[0], vocab)
     ids = tokenize(samples[0].report, vocab)
-    ce_only = report_cross_entropy(result.decoder.dists, ids[1:])
+    ce_only = report_cross_entropy(result.decoder.log_probs, ids[1:])
     backward(ce_only)
     assert np.array_equal(grad_of(result.summary), np.zeros_like(result.summary.data))
 
@@ -147,9 +197,9 @@ def test_perturbing_summary_never_changes_decoder_output():
     sample = samples[0]
     memory, summary, _, _ = model.encode_images(sample.images)
     ids = tokenize(sample.report, vocab)
-    before = model.decoder(ids[:-1], memory).dists.data
+    before = model.decoder(ids[:-1], memory).log_probs.data
     summary.data += 1e6
-    after = model.decoder(ids[:-1], memory).dists.data
+    after = model.decoder(ids[:-1], memory).log_probs.data
     assert np.array_equal(before, after)
 
 
@@ -221,8 +271,7 @@ def test_step_fn_consistent_with_decoder():
 
 def reference_logp(model, prefix, memory):
     """The teacher-forced decoder's last row: what a step must return."""
-    dists = model.decoder(list(prefix), Tensor(memory)).dists.data
-    return np.log(np.clip(dists[-1], 1e-300, 1.0))
+    return model.decoder(list(prefix), Tensor(memory)).log_probs.data[-1]
 
 
 def step_setup(layers, pos_enc, views):
@@ -255,6 +304,15 @@ def test_step_equals_decoder_on_every_visited_prefix(layers, pos_enc, views):
     for prefix in visited:
         np.testing.assert_allclose(step(prefix), reference_logp(model, prefix, memory),
                                    rtol=0, atol=1e-12)
+
+
+def test_saturated_step_log_probs_are_not_clipped():
+    model, sample = step_setup(2, True, 1)
+    model.decoder.out_w.data = model.decoder.out_w.data * 1e4
+    memory = model.encode_images(sample.images)[0].data
+    logp = model.step_fn(sample.images)([1, 5])
+    assert logp.min() < -1000.0
+    np.testing.assert_allclose(logp, reference_logp(model, [1, 5], memory), rtol=0, atol=1e-8)
 
 
 def test_step_on_a_prefix_whose_parents_were_never_seen():
