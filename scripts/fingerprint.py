@@ -16,7 +16,9 @@ beam-3 candidates joined by newlines.
 ``--against DIR`` names an earlier ``--out`` directory.  For each variant it
 then also prints the largest absolute difference of any numeric
 ``metrics.jsonl`` field and whether the beam-3 candidates are identical, so
-a change that only moves rounding shows how far it moved.
+a change that only moves rounding shows how far it moved.  The exit code is
+then 1 when any variant's beam-3 candidates differ or its metrics log differs
+in records, fields or text (drift ``inf``).
 """
 import argparse
 import hashlib
@@ -61,6 +63,7 @@ def main() -> int:
                         help="an earlier --out directory to measure drift against")
     args = parser.parse_args()
 
+    status = 0
     for variant, views, glyph_max in RUNS:
         spec = SyntheticSpec(grid=28, patches=7, classes=GLYPH_NAMES[:6], glyph_min=1,
                              glyph_max=glyph_max, views=views,
@@ -80,7 +83,9 @@ def main() -> int:
             drift = metric_drift(run_dir / "metrics.jsonl", old / "metrics.jsonl")
             same = (old / "beam3.txt").read_text() == beams
             print(f"  metric drift {drift:.3g}; beam-3 candidates {'identical' if same else 'DIFFER'}")
-    return 0
+            if not same or math.isinf(drift):
+                status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+NORM_FLOOR = 1e-12   # ``cosine`` reads a vector with a smaller norm as zero
+
 class ShapeError(ValueError):
     """Operand shapes violate a primitive's contract."""
 
@@ -189,16 +191,6 @@ def div(a, b) -> Tensor:
     return _make(a.data / b.data, (a, b), backward)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        _accumulate(a, g * 0.5 / out_data)
-
-    return _make(out_data, (a,), backward)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     keep = a.data > 0.0
@@ -207,17 +199,6 @@ def relu(a) -> Tensor:
         _accumulate(a, g * keep)
 
     return _make(np.where(keep, a.data, 0.0), (a,), backward)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes only strictly inside the interval."""
-    a = as_tensor(a)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        _accumulate(a, g * inside)
-
-    return _make(np.clip(a.data, lo, hi), (a,), backward)
 
 
 # -- structural primitives ----------------------------------------------------
@@ -408,20 +389,58 @@ def log_softmax(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean / unit variance, then affine.
+def layer_norm_values(x: np.ndarray, gain, bias, eps: float = 1e-5):
+    """Layer norm over the last axis: the output, the normalised rows and their std."""
+    n = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    normed = centered / std
+    return normed * gain + bias, normed, std
 
-    Population variance (divide by C).  ``gain`` and ``bias`` broadcast over
-    leading axes.
-    """
-    x = as_tensor(x)
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """``layer_norm_values`` on the graph, with the analytic backward (Ba et al. 2016)."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs at least 2 channels, got shape {x.shape}")
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(normed, gain), bias)
+    out, normed, std = layer_norm_values(x.data, gain.data, bias.data, eps)
+
+    def backward(g):
+        if x.requires_grad:
+            gn = g * gain.data
+            _accumulate(x, (gn - gn.mean(axis=-1, keepdims=True)
+                            - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std)
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
+
+    return _make(out, (x, gain, bias), backward)
+
+
+def cosine(a, b) -> Tensor:
+    """Cosine of each row of ``a`` (T, D) with the one row of ``b`` (1, D); shape (T,).
+
+    A vector whose norm is below ``NORM_FLOOR`` gets cosine 0 and exactly zero gradient.
+    Values are clamped to [-1, 1] against rounding; the gradient is analytic, never clamped.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim != 2 or b.shape != (1, a.shape[1]):
+        raise ShapeError(f"cosine needs (T, D) and (1, D), got {a.shape} and {b.shape}")
+    na = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))            # (T, 1)
+    nb = np.sqrt((b.data * b.data).sum())
+    live = (na >= NORM_FLOOR) & (nb >= NORM_FLOOR)
+    na, nb = np.maximum(na, NORM_FLOOR), max(nb, NORM_FLOOR)
+    cos = np.where(live, (a.data @ b.data.T) / (na * nb), 0.0)            # (T, 1)
+
+    def backward(g):
+        g = np.where(live, g[:, None], 0.0)
+        if a.requires_grad:
+            _accumulate(a, g * (b.data / nb - cos * a.data / na) / na)
+        if b.requires_grad:
+            _accumulate(b, (g * (a.data / na - cos * b.data / nb)).sum(axis=0, keepdims=True) / nb)
+
+    return _make(np.clip(cos, -1.0, 1.0)[:, 0], (a, b), backward)
 
 
 # -- the tape and reverse sweep -----------------------------------------------

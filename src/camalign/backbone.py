@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ContractError, ShapeError, Tensor, add, concat, gather_rows,
-                       layer_norm, log_softmax, log_softmax_values, matmul, mean, relu,
-                       reshape, softmax, softmax_values, transpose)
+                       layer_norm, layer_norm_values, log_softmax, log_softmax_values,
+                       matmul, mean, relu, reshape, softmax, softmax_values, transpose)
 from .config import ModelSection
 
 
@@ -271,13 +271,6 @@ def _attend(attn: MultiHeadAttention, x, k, v) -> np.ndarray:
     return mixed @ attn.wo.data + attn.bo.data
 
 
-def _norm(x: np.ndarray, norm: _Norm, eps: float = 1e-5) -> np.ndarray:
-    n = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    return centered / np.sqrt(var + eps) * norm.gain.data + norm.bias.data
-
-
 class Decoder:
     """Embedding lookup, causal blocks over the prefix, vocabulary log-softmax."""
 
@@ -329,6 +322,8 @@ class Decoder:
             raise ShapeError("decoder memory is empty")
         cross = [(_heads(memory, b.cross_attn, "k", (1, 2, 0)),
                   _heads(memory, b.cross_attn, "v", (1, 0, 2))) for b in self.blocks]
+        norms = [[(n.gain.data, n.bias.data) for n in (b.norm1, b.norm2, b.norm3)]
+                 for b in self.blocks]
         # prefix -> (log-probs, per block (K (H,d,t), V (H,t,d)))
         cache = {(): (None, [(k[..., :0], v[:, :0]) for k, v in cross])}
         vocab = self.embedding.shape[0]
@@ -347,16 +342,16 @@ class Decoder:
                 if self.cfg.pos_enc:
                     x = x + sinusoid_positions(t, self.cfg.dim)[t - 1:]
                 grown = []
-                for block, (k, v), (mem_k, mem_v) in zip(self.blocks, kv, cross):
+                for block, (k, v), (mem_k, mem_v), (n1, n2, n3) in zip(self.blocks, kv, cross, norms):
                     k = np.concatenate([k, _heads(x, block.self_attn, "k", (1, 2, 0))], axis=2)
                     v = np.concatenate([v, _heads(x, block.self_attn, "v", (1, 0, 2))], axis=1)
                     grown.append((k, v))
-                    x = _norm(x + _attend(block.self_attn, x, k, v), block.norm1)
-                    x = _norm(x + _attend(block.cross_attn, x, mem_k, mem_v), block.norm2)
+                    x = layer_norm_values(x + _attend(block.self_attn, x, k, v), *n1)[0]
+                    x = layer_norm_values(x + _attend(block.cross_attn, x, mem_k, mem_v), *n2)[0]
                     ffn = block.ffn
                     hidden = x @ ffn.w1.data + ffn.b1.data
                     hidden = np.where(hidden > 0.0, hidden, 0.0)
-                    x = _norm(x + (hidden @ ffn.w2.data + ffn.b2.data), block.norm3)
+                    x = layer_norm_values(x + (hidden @ ffn.w2.data + ffn.b2.data), *n3)[0]
                 kv = grown
                 logp = log_softmax_values(x @ self.out_w.data + self.out_b.data)[-1]
                 if not np.all(np.isfinite(logp)):

@@ -13,11 +13,9 @@ from math import ceil
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, add, clip, div,
-                       matmul, mul, relu, sqrt, sub, tmax, tmin, transpose,
-                       tsum)
+from .autodiff import (ContractError, ShapeError, Tensor, add, cosine, div, mul, relu,
+                       sub, tmax, tmin, tsum)
 
-NORM_FLOOR = 1e-12
 MASKED_SENTINEL = -np.inf
 
 
@@ -30,20 +28,11 @@ class WordSimilarities:
 def word_similarities(embeddings: Tensor, summary: Tensor, content_mask) -> WordSimilarities:
     """Cosine similarity of each word embedding to the summary vector.
 
-    Norms are floored at 1e-12, so zero vectors are safe.  ``content_mask``
-    flags positions eligible for selection; others carry a -inf sentinel in
-    the ``masked`` view.
+    A zero embedding or summary gets similarity 0 and exactly zero gradient.
+    Positions off ``content_mask`` carry a -inf sentinel in the ``masked`` view.
     """
-    if embeddings.shape[1] != summary.shape[1]:
-        raise ShapeError(f"dim mismatch: words {embeddings.shape} vs summary {summary.shape}")
-    dots = matmul(embeddings, transpose(summary))                        # (T, 1)
-    word_norms = sqrt(tsum(mul(embeddings, embeddings), axis=1, keepdims=True))
-    summary_norm = sqrt(tsum(mul(summary, summary)))
-    denom = mul(clip(word_norms, NORM_FLOOR, np.inf), clip(summary_norm, NORM_FLOOR, np.inf))
-    # rounding can push |cos| a hair past 1; the clamp keeps weights in [0, 1]
-    values = clip(div(dots, denom), -1.0, 1.0)[:, 0]
-    content_mask = np.asarray(content_mask, dtype=bool)
-    masked = np.where(content_mask, values.data, MASKED_SENTINEL)
+    values = cosine(embeddings, summary)
+    masked = np.where(np.asarray(content_mask, dtype=bool), values.data, MASKED_SENTINEL)
     return WordSimilarities(values=values, masked=masked)
 
 

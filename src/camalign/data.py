@@ -142,8 +142,12 @@ def load_dataset(path, expected_classes: int = None) -> list:
         if expected_classes is not None and len(labels) != expected_classes:
             raise DataError(
                 f"{where}: labels length {len(labels)} != expected {expected_classes}")
+        if not isinstance(record["images"], list) or len(record["images"]) not in (1, 2):
+            raise DataError(f"{where}: images must be a list of one or two grids")
         images = []
         for flat in record["images"]:
+            if not (isinstance(flat, list) and flat and all(type(v) in (int, float) for v in flat)):
+                raise DataError(f"{where}: image must be a non-empty list of numbers")
             side = int(round(len(flat) ** 0.5))
             if side * side != len(flat):
                 raise DataError(f"{where}: image is not a square grid ({len(flat)} values)")

@@ -1,4 +1,6 @@
+import inspect
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from camalign import autodiff as ad
 from camalign.autodiff import (ContractError, ShapeError, Tensor, backward,
-                               clip, concat, gather_rows, grad_of, layer_norm,
+                               concat, cosine, gather_rows, grad_of, layer_norm,
                                log_softmax, matmul, mean, relu, reshape, softmax,
                                tmax, tmin, trace, transpose, tsum)
 from conftest import check_grads
@@ -218,6 +220,7 @@ PRIMITIVE_CASES = [
     ("div", lambda a, b: a / (b * b + 1.0), (2, 3), (2, 3)),
     ("matmul", matmul, (2, 3), (3, 4)),
     ("matmul_stacked", matmul, (3, 2, 4), (3, 4, 5)),         # (H,T,d) @ (H,d,S)
+    ("cosine", cosine, (4, 3), (1, 3)),
 ]
 
 
@@ -230,9 +233,7 @@ def test_binary_primitive_gradients(name, op, shape_a, shape_b, rng):
 
 
 UNARY_CASES = [
-    ("sqrt", ad.sqrt, lambda r: r.uniform(0.5, 3.0, size=(2, 3))),
     ("relu", relu, lambda r: r.normal(size=(2, 3)) + 0.3),
-    ("clip", lambda t: clip(t, -0.5, 0.5), lambda r: r.normal(size=(2, 3))),
     ("softmax", softmax, lambda r: r.normal(size=(2, 5))),
     ("log_softmax", log_softmax, lambda r: r.normal(size=(2, 5)) * 3),
     ("log_softmax_saturated", log_softmax, lambda r: r.choice([-800.0, 800.0], size=(2, 5))),
@@ -301,8 +302,82 @@ def test_gather_rows_rejects_out_of_range():
 
 
 def test_layer_norm_gradient(rng):
-    x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-    gain = Tensor(rng.normal(size=6), requires_grad=True)
-    bias = Tensor(rng.normal(size=6), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 6)))
-    check_grads(lambda: tsum(layer_norm(x, gain, bias) * w), [x, gain, bias])
+    """Random rows, constant rows (zero variance: only eps keeps them finite),
+    and a 3-D input with gain and bias broadcast over both leading axes."""
+    constant = np.repeat(rng.normal(size=(2, 1)), 6, axis=1)
+    for sample in (rng.normal(size=(3, 6)), constant, rng.normal(size=(2, 3, 6))):
+        x = Tensor(sample, requires_grad=True)
+        gain = Tensor(rng.normal(size=6), requires_grad=True)
+        bias = Tensor(rng.normal(size=6), requires_grad=True)
+        w = Tensor(rng.normal(size=sample.shape))
+        check_grads(lambda: tsum(layer_norm(x, gain, bias) * w), [x, gain, bias])
+
+
+def test_layer_norm_keeps_the_composed_op_order(rng):
+    """The fused forward is bit-identical to the chain of ops it replaced."""
+    x, gain, bias = rng.normal(size=(2, 3, 5)), rng.normal(size=5), rng.normal(size=5)
+    centered = x - x.sum(axis=-1, keepdims=True) * (1.0 / 5)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / 5)
+    composed = centered / np.sqrt(var + 1e-5) * gain + bias
+    assert np.array_equal(layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data, composed)
+
+
+def test_cosine_gradient_parallel_vectors(rng):
+    summary = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    words = Tensor(np.concatenate([summary.data * 2.5, -summary.data, rng.normal(size=(1, 4))]),
+                   requires_grad=True)
+    out = cosine(words, summary).data
+    assert np.allclose(out[:2], [1.0, -1.0], rtol=0, atol=1e-15) and np.abs(out).max() <= 1.0
+    w = Tensor(rng.normal(size=3))
+    check_grads(lambda: tsum(cosine(words, summary) * w), [words, summary])
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-13], ids=["zero", "below_floor"])
+@pytest.mark.parametrize("zero", ["word", "summary"])
+def test_cosine_gradient_with_a_zero_operand(zero, size, rng):
+    """A vector with norm below ``NORM_FLOOR`` gets cosine 0 and exactly zero
+    gradient; every gradient stays finite."""
+    words = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    summary = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    null = Tensor(np.full((1, 3), size), requires_grad=True)
+
+    def operands():
+        return (concat([null, words]), summary) if zero == "word" else (words, null)
+
+    w = Tensor(rng.normal(size=cosine(*operands()).shape))
+    ad.zero_grads([words, summary, null])
+    out = cosine(*operands())
+    backward(tsum(out * w))
+    zero_rows = out.data[:1] if zero == "word" else out.data
+    assert np.array_equal(zero_rows, np.zeros_like(zero_rows))
+    assert np.array_equal(null.grad, np.zeros((1, 3)))
+    assert all(np.isfinite(grad_of(t)).all() for t in (words, summary))
+    check_grads(lambda: tsum(cosine(*operands()) * w), [words, summary])
+
+
+def _node_builders() -> set:
+    """Every ``autodiff`` function whose source calls ``_make``."""
+    return {name for name, fn in vars(ad).items()
+            if inspect.isfunction(fn) and name != "_make" and "_make(" in inspect.getsource(fn)}
+
+
+def test_every_primitive_has_a_gradient_check(monkeypatch, rng):
+    """Each node builder runs in a ``PRIMITIVE_CASES`` or ``UNARY_CASES`` row,
+    or is named by a ``test_*<name>_gradient*`` test in this module."""
+    built, make = set(), ad._make
+
+    def recording_make(data, parents, backward_fn):
+        built.add(sys._getframe(1).f_code.co_name)
+        return make(data, parents, backward_fn)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    for _, op, shape_a, shape_b in PRIMITIVE_CASES:
+        op(Tensor(rng.normal(size=shape_a)), Tensor(rng.normal(size=shape_b)))
+    for _, op, sample in UNARY_CASES:
+        op(Tensor(sample(rng)))
+    named = [n for n in globals() if n.startswith("test_")]
+    missing = sorted(name for name in _node_builders() - built
+                     if not any(re.fullmatch(rf"test_(\w+_)?{name}_gradients?(_\w+)?", n)
+                                for n in named))
+    assert _node_builders() >= {"layer_norm", "cosine", "softmax", "_extremum"}
+    assert not missing, f"primitives without a finite-difference check: {missing}"

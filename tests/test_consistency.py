@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camalign.autodiff import ContractError, ShapeError, Tensor, backward, softmax
+from camalign.autodiff import ContractError, ShapeError, Tensor, backward, softmax, tsum
 from camalign.consistency import (consistency_loss, select_important_words,
                                   textual_map, word_similarities)
 from conftest import check_grads
@@ -34,8 +34,19 @@ def test_cosine_closed_form():
 
 
 def test_zero_vectors_are_safe():
-    out = sims_of([[0.0, 0.0]], [0.0, 0.0])
-    assert np.isfinite(out.values.data).all()
+    """A zero word or summary gets similarity 0 and exactly zero, finite gradients."""
+    for embeds, summary in (([[0.0, 0.0]], [[0.0, 0.0]]),
+                            ([[0.0, 0.0], [1.0, 2.0]], [[0.5, -1.0]]),
+                            ([[1.0, 2.0]], [[0.0, 0.0]])):
+        words = Tensor(embeds, requires_grad=True)
+        target = Tensor(summary, requires_grad=True)
+        out = word_similarities(words, target, np.ones(len(embeds), dtype=bool))
+        backward(tsum(out.values * np.arange(1.0, len(embeds) + 1.0)))
+        assert out.values.data[0] == 0.0
+        assert np.array_equal(words.grad[0], [0.0, 0.0])
+        assert np.isfinite(words.grad).all() and np.isfinite(target.grad).all()
+        if not target.data.any():
+            assert np.array_equal(target.grad, [[0.0, 0.0]])
 
 
 def test_masked_positions_carry_sentinel():

@@ -230,6 +230,19 @@ def test_labels_other_than_zero_or_one_name_path_and_line(tmp_path, labels):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("images", [
+    "[]", "5", '"grid"', "[[0.0], [1.0], [0.5]]",      # not one or two grids
+    "[[]]", "[7]", '[[0.0, "x", 1.0, 0.5]]', "[[true]]",   # a grid that is not numbers
+    "[[0.0, 1.0]]",                                      # not square
+])
+def test_images_other_than_one_or_two_square_grids_name_path_and_line(tmp_path, images):
+    path = tmp_path / "bad.jsonl"
+    good = '{"id": "a", "images": [[0.0]], "report": "x", "labels": [1, 0]}'
+    path.write_text(f'{good}\n{{"id": "b", "images": {images}, "report": "x", "labels": [1, 0]}}\n')
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: image")):
+        load_dataset(path)
+
+
 def test_alignment_roundtrip(tmp_path):
     alignment = {"s1": {"cross": 3}, "s2": {"dot": 11, "solid": 40}}
     path = tmp_path / "cells.jsonl"
