@@ -205,17 +205,18 @@ def relu(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """``(..., m, k) @ (..., k, n)``, slice by slice; leading axes must be equal."""
+    """``(..., m, k) @ (..., k, n)``, slice by slice; leading axes must be equal,
+    or ``b`` is one ``(k, n)`` matrix shared by every slice of ``a``."""
     a, b = as_tensor(a), as_tensor(b)
-    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or b.ndim > 2 and (a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2])):
         raise ShapeError(f"matmul needs (...,m,k)x(...,k,n), got {a.shape} x {b.shape}")
 
     def backward(g):
         if a.requires_grad:
             _accumulate(a, g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -274,11 +275,9 @@ def concat(parts, axis: int = 0) -> Tensor:
 
 
 def gather_rows(table, ids) -> Tensor:
-    """Row lookup (embedding); gradient scatter-adds into the table."""
+    """Row lookup (embedding), shape ``ids.shape + (D,)``; gradient scatter-adds into the table."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"gather_rows needs 1-D ids, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ContractError(f"row id out of range [0, {table.shape[0]}): {ids}")
 
@@ -419,28 +418,28 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def cosine(a, b) -> Tensor:
-    """Cosine of each row of ``a`` (T, D) with the one row of ``b`` (1, D); shape (T,).
+    """Cosine of each row of ``a`` (..., T, D) with the one row of ``b`` (..., 1, D); shape (..., T).
 
     A vector whose norm is below ``NORM_FLOOR`` gets cosine 0 and exactly zero gradient.
     Values are clamped to [-1, 1] against rounding; the gradient is analytic, never clamped.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.shape != (1, a.shape[1]):
-        raise ShapeError(f"cosine needs (T, D) and (1, D), got {a.shape} and {b.shape}")
-    na = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))            # (T, 1)
-    nb = np.sqrt((b.data * b.data).sum())
+    if a.ndim < 2 or b.shape != (*a.shape[:-2], 1, a.shape[-1]):
+        raise ShapeError(f"cosine needs (..., T, D) and (..., 1, D), got {a.shape} and {b.shape}")
+    na = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))           # (..., T, 1)
+    nb = np.sqrt((b.data * b.data).sum(axis=-1, keepdims=True))           # (..., 1, 1)
     live = (na >= NORM_FLOOR) & (nb >= NORM_FLOOR)
-    na, nb = np.maximum(na, NORM_FLOOR), max(nb, NORM_FLOOR)
-    cos = np.where(live, (a.data @ b.data.T) / (na * nb), 0.0)            # (T, 1)
+    na, nb = np.maximum(na, NORM_FLOOR), np.maximum(nb, NORM_FLOOR)
+    cos = np.where(live, (a.data @ b.data.swapaxes(-1, -2)) / (na * nb), 0.0)   # (..., T, 1)
 
     def backward(g):
-        g = np.where(live, g[:, None], 0.0)
+        g = np.where(live, g[..., None], 0.0)
         if a.requires_grad:
             _accumulate(a, g * (b.data / nb - cos * a.data / na) / na)
         if b.requires_grad:
-            _accumulate(b, (g * (a.data / na - cos * b.data / nb)).sum(axis=0, keepdims=True) / nb)
+            _accumulate(b, (g * (a.data / na - cos * b.data / nb)).sum(axis=-2, keepdims=True) / nb)
 
-    return _make(np.clip(cos, -1.0, 1.0)[:, 0], (a, b), backward)
+    return _make(np.clip(cos, -1.0, 1.0)[..., 0], (a, b), backward)
 
 
 # -- the tape and reverse sweep -----------------------------------------------

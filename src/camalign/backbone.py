@@ -3,6 +3,8 @@
 The decoder's attention over visual tokens (textual queries, visual
 keys/values) is returned as a first-class output so downstream modules can
 supervise it.  Vanilla post-norm blocks, sinusoidal position encodings.
+Every module takes an optional leading batch axis, which runs a batch of
+samples as one graph.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, add, concat, gather_rows,
+from .autodiff import (ContractError, ShapeError, Tensor, add, gather_rows,
                        layer_norm, layer_norm_values, log_softmax, log_softmax_values,
                        matmul, mean, relu, reshape, softmax, softmax_values, transpose)
 from .config import ModelSection
@@ -44,16 +46,20 @@ def sinusoid_positions(n: int, dim: int) -> np.ndarray:
 class PatchFeatures:
     """Visual token sequence with per-image segment lengths."""
 
-    tokens: Tensor               # (sum of segments, C)
+    tokens: Tensor               # (..., sum of segments, C)
     segments: list               # token count per image
 
 
-def _blockify(x: Tensor, side: int, block: int, channels: int) -> Tensor:
-    """(side, side, channels) -> (cells, block*block*channels), row-major cells."""
-    h = side // block
-    x = reshape(x, (h, block, h, block, channels))
-    x = transpose(x, (0, 2, 1, 3, 4))
-    return reshape(x, (h * h, block * block * channels))
+def _blockify(x: Tensor, lead: tuple, side: int, block: int) -> Tensor:
+    """Cut grids into ``block x block`` cells: (..., C) -> (*lead[:-1], views * cells, block*block*C).
+
+    ``x`` holds ``lead`` grids of ``side x side`` pixels, row-major, C channels
+    each.  ``lead`` ends with the view axis; each sample's cells run view-major.
+    """
+    h, channels, n = side // block, x.shape[-1], len(lead)
+    x = reshape(x, (*lead, h, block, h, block, channels))
+    x = transpose(x, (*range(n), n, n + 2, n + 1, n + 3, n + 4))
+    return reshape(x, (*lead[:-1], -1, block * block * channels))
 
 
 class PatchExtractor:
@@ -83,31 +89,25 @@ class PatchExtractor:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
-    def extract_one(self, image: np.ndarray) -> Tensor:
-        side = image.shape[0]
-        if image.ndim != 2 or image.shape[0] != image.shape[1]:
-            raise ShapeError(f"expected a square single-channel grid, got {image.shape}")
+    def __call__(self, images) -> PatchFeatures:
+        """Extract every view of (..., views, G, G) grids; tokens (..., views * cells, C), view-major."""
+        grids = np.asarray(images, dtype=np.float64)
+        if grids.ndim < 3 or grids.shape[-1] != grids.shape[-2]:
+            raise ShapeError(f"expected square single-channel grids, got {grids.shape}")
+        side, lead = grids.shape[-1], grids.shape[:-2]
         if side % self.patch != 0:
             raise ShapeError(f"grid side {side} not divisible by patch {self.patch}")
-        x = Tensor(image[:, :, None])
-        x = _blockify(x, side, self.p1, 1)
+        x = _blockify(Tensor(grids[..., None]), lead, side, self.p1)
         x = relu(add(matmul(x, self.w1), self.b1))
-        side1 = side // self.p1
-        x = reshape(x, (side1, side1, self.mid))
-        x = _blockify(x, side1, self.p2, self.mid)
-        return add(matmul(x, self.w2), self.b2)
-
-    def __call__(self, images) -> PatchFeatures:
-        """Extract each view and concatenate the visual tokens."""
-        parts = [self.extract_one(np.asarray(img, dtype=np.float64)) for img in images]
-        tokens = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-        return PatchFeatures(tokens=tokens, segments=[p.shape[0] for p in parts])
+        x = _blockify(x, lead, side // self.p1, self.p2)
+        tokens = add(matmul(x, self.w2), self.b2)
+        return PatchFeatures(tokens=tokens, segments=[tokens.shape[-2] // lead[-1]] * lead[-1])
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention, all heads in one batched product.
+    """Scaled dot-product attention, all heads (and samples) in one batched product.
 
-    Returns the output, (T, D), and the per-head scores as one (H, T, S) tensor.
+    Returns the output, (..., T, D), and the per-head scores as one (..., H, T, S) tensor.
     """
 
     def __init__(self, dim: int, heads: int, rng):
@@ -126,13 +126,16 @@ class MultiHeadAttention:
         return {f"{prefix}.{n}": getattr(self, n) for n in names}
 
     def __call__(self, query: Tensor, keys: Tensor, values: Tensor, mask=None):
-        split = (-1, self.heads, self.head_dim)
-        q = transpose(reshape(add(matmul(query, self.wq), self.bq), split), (1, 0, 2))  # (H,T,d)
-        k = transpose(reshape(add(matmul(keys, self.wk), self.bk), split), (1, 2, 0))   # (H,d,S)
-        v = transpose(reshape(add(matmul(values, self.wv), self.bv), split), (1, 0, 2))  # (H,S,d)
-        # one softmax for every head; a (T, T) causal mask broadcasts over H
+        n = query.ndim - 2                          # leading batch axes
+        split = (*query.shape[:n], -1, self.heads, self.head_dim)
+        swap = (*range(n), n + 1, n, n + 2)         # (..., T, H, d) <-> (..., H, T, d)
+        q = transpose(reshape(add(matmul(query, self.wq), self.bq), split), swap)   # (...,H,T,d)
+        k = transpose(reshape(add(matmul(keys, self.wk), self.bk), split),
+                      (*range(n), n + 1, n + 2, n))                                # (...,H,d,S)
+        v = transpose(reshape(add(matmul(values, self.wv), self.bv), split), swap)  # (...,H,S,d)
+        # one softmax for every head; a (T, T) causal mask broadcasts over H and the batch
         scores = softmax(matmul(q, k) * (1.0 / np.sqrt(self.head_dim)), mask=mask)
-        mixed = reshape(transpose(matmul(scores, v), (1, 0, 2)), (-1, self.dim))      # (T,D)
+        mixed = reshape(transpose(matmul(scores, v), swap), (*query.shape[:n], -1, self.dim))
         return add(matmul(mixed, self.wo), self.bo), scores
 
 
@@ -208,9 +211,10 @@ class Encoder:
         return np.concatenate(rows, axis=0)
 
     def __call__(self, tokens: Tensor, segments=None, leading_tokens: int = 0) -> Tensor:
-        if tokens.shape[0] < 1:
+        """(..., tokens, C) -> (..., tokens, D); every sample of a batch has ``segments``."""
+        if tokens.shape[-2] < 1:
             raise ShapeError("encoder needs at least one token")
-        segments = segments or [tokens.shape[0] - leading_tokens]
+        segments = segments or [tokens.shape[-2] - leading_tokens]
         x = add(matmul(tokens, self.proj_w), self.proj_b)
         if self.cfg.pos_enc:
             x = add(x, Tensor(self.position_table(segments, leading_tokens)))
@@ -246,13 +250,13 @@ class DecoderBlock:
 class DecoderOutput:
     """Next-token log-probabilities and the final layer's per-head cross-attention."""
 
-    log_probs: Tensor            # (T, vocab) next-token log-probabilities
-    cross_final: Tensor          # (H, T, N) final-layer attention over visual tokens
+    log_probs: Tensor            # (..., T, vocab) next-token log-probabilities
+    cross_final: Tensor          # (..., H, T, N) final-layer attention over visual tokens
 
     @property
     def cross_final_avg(self) -> Tensor:
-        """Head-averaged final-layer attention over visual tokens, (T, N)."""
-        return mean(self.cross_final, axis=0)
+        """Head-averaged final-layer attention over visual tokens, (..., T, N)."""
+        return mean(self.cross_final, axis=-3)
 
 
 # -- numpy mirrors of the graph ops, in the same op order, for Decoder.step_fn --
@@ -289,13 +293,18 @@ class Decoder:
         return out
 
     def embed_words(self, ids) -> Tensor:
-        """Raw embedding rows, (len(ids), D); no position information."""
+        """Raw embedding rows, ids.shape + (D,); no position information."""
         return gather_rows(self.embedding, np.asarray(ids, dtype=np.int64))
 
     def __call__(self, prefix_ids, memory: Tensor) -> DecoderOutput:
-        if memory.shape[0] < 1:
+        """Teacher-forced pass of (..., T) prefixes over (..., N, D) memory.
+
+        Positions attend causally, so PAD after a shorter report's end
+        changes none of its rows.
+        """
+        if memory.shape[-2] < 1:
             raise ShapeError("decoder memory is empty")
-        t = len(prefix_ids)
+        t = np.shape(prefix_ids)[-1]
         x = self.embed_words(prefix_ids)
         if self.cfg.pos_enc:
             x = add(x, Tensor(sinusoid_positions(t, self.cfg.dim)))

@@ -4,12 +4,13 @@ saliency map, and pull it toward the visual map with an MSE loss.
 
 Training-time only (it needs teacher-forced attention rows).  Similarities
 and word weights stay on the graph, so the consistency loss trains both the
-attention and the summary path; the visual map target is a constant.
+attention and the summary path; the visual map target is a constant.  Every
+input may carry a leading batch axis; each sample then gets its own map and
+loss.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -21,8 +22,8 @@ MASKED_SENTINEL = -np.inf
 
 @dataclass
 class WordSimilarities:
-    values: Tensor           # (T,) cosine similarity per word position
-    masked: np.ndarray       # (T,) values with -inf at special-token positions
+    values: Tensor           # (..., T) cosine similarity per word position
+    masked: np.ndarray       # (..., T) values with -inf at special-token positions
 
 
 def word_similarities(embeddings: Tensor, summary: Tensor, content_mask) -> WordSimilarities:
@@ -37,18 +38,23 @@ def word_similarities(embeddings: Tensor, summary: Tensor, content_mask) -> Word
 
 
 def select_important_words(sims: WordSimilarities, k: float) -> np.ndarray:
-    """Indices of the top ceil(k * content count) words; ties keep lower index.
+    """Indices of each row's top ceil(k * content count) words; ties keep lower index.
 
-    Raises when every position is masked (the caller skips the sample).
+    A batch of rows (B, T) gives (B, most selected): a row that selects fewer
+    repeats its first pick, which changes neither the textual map's max nor
+    its gradient, and a row without content words holds position 0 (its
+    sample skips the consistency term).  Raises when every position of
+    every row is masked (the caller skips the sample).
     """
     if not 0.0 < k <= 1.0:
         raise ContractError(f"selection fraction k must lie in (0, 1], got {k}")
-    content = np.flatnonzero(np.isfinite(sims.masked))
-    if content.size == 0:
+    content = np.isfinite(sims.masked).sum(axis=-1)
+    if not content.any():
         raise ContractError("no unmasked words to select from")
-    gamma = ceil(k * content.size)
-    order = np.argsort(-sims.masked, kind="stable")       # stable: lower index wins ties
-    return order[:gamma]
+    gamma = np.ceil(k * content).astype(np.int64)
+    order = np.argsort(-sims.masked, axis=-1, kind="stable")     # stable: lower index wins ties
+    order = order[..., :gamma.max()]
+    return np.where(np.arange(gamma.max()) < gamma[..., None], order, order[..., :1])
 
 
 def textual_map(attention: Tensor, sims: WordSimilarities, selected: np.ndarray) -> Tensor:
@@ -61,21 +67,23 @@ def textual_map(attention: Tensor, sims: WordSimilarities, selected: np.ndarray)
     """
     if selected.size == 0:
         raise ContractError("textual map needs at least one selected word")
-    active = relu(attention[selected])                                  # (gamma, N)
-    lo, hi = tmin(active, axis=1, keepdims=True), tmax(active, axis=1, keepdims=True)
-    flat = hi.data == lo.data                                           # (gamma, 1)
+    rows = np.indices(selected.shape, sparse=True)[:-1] + (selected,)   # each sample's own rows
+    active = relu(attention[rows])                                      # (..., gamma, N)
+    lo, hi = tmin(active, axis=-1, keepdims=True), tmax(active, axis=-1, keepdims=True)
+    flat = hi.data == lo.data                                           # (..., gamma, 1)
     normd = mul(div(sub(active, lo), add(sub(hi, lo), flat)), ~flat)
-    weights = relu(sims.values[selected[:, None]])                      # (gamma, 1)
-    return tmax(mul(normd, weights), axis=0)
+    weights = relu(sims.values[tuple(r[..., None] for r in rows)])      # (..., gamma, 1)
+    return tmax(mul(normd, weights), axis=-2)
 
 
 def consistency_loss(text_map: Tensor, visual_map) -> Tensor:
-    """Mean squared difference between the two maps; the visual map is a
-    gradient-free target (a Tensor argument is read as a constant)."""
+    """Mean squared difference between the two maps over the last axis, one
+    per sample; the visual map is a gradient-free target (a Tensor argument
+    is read as a constant)."""
     if isinstance(visual_map, Tensor):
         visual_map = visual_map.data
     target = np.asarray(visual_map, dtype=np.float64)
     if text_map.shape != target.shape:
         raise ShapeError(f"map lengths differ: {text_map.shape} vs {target.shape}")
     diff = sub(text_map, Tensor(target))
-    return tsum(mul(diff, diff)) * (1.0 / target.shape[0])
+    return tsum(mul(diff, diff), axis=-1) * (1.0 / target.shape[-1])

@@ -152,6 +152,8 @@ def load_dataset(path, expected_classes: int = None) -> list:
             if side * side != len(flat):
                 raise DataError(f"{where}: image is not a square grid ({len(flat)} values)")
             images.append(np.asarray(flat, dtype=np.float64).reshape(side, side))
+        if len({img.shape for img in images}) > 1:
+            raise DataError(f"{where}: image grids of one sample must share one side")
         samples.append(Sample(
             id=str(record["id"]), images=images,
             report=str(record["report"]),

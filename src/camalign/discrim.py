@@ -5,7 +5,7 @@ The visual map enters as a constant, so its construction contributes no
 gradient; gradients still reach the extractor through the patch features.
 The encoded summary token feeds only the attention-consistency path — the
 decoder never sees it, which keeps decoder attention width equal to the
-visual map length.
+visual map length.  Tokens may carry a leading batch axis, (..., N, C).
 """
 from __future__ import annotations
 
@@ -17,12 +17,12 @@ from .autodiff import ShapeError, Tensor, concat, layer_norm, matmul
 
 
 def discriminative_representation(visual_map: np.ndarray, tokens: Tensor) -> Tensor:
-    """Map-weighted sum of patch features: (1, N) x (N, C) -> (1, C)."""
+    """Map-weighted sum of patch features: (..., 1, N) x (..., N, C) -> (..., 1, C)."""
     visual_map = np.asarray(visual_map, dtype=np.float64)
-    if visual_map.ndim != 1 or visual_map.shape[0] != tokens.shape[0]:
+    if visual_map.shape != tokens.shape[:-1]:
         raise ShapeError(
-            f"visual map length {visual_map.shape} does not match {tokens.shape[0]} patch tokens")
-    return matmul(Tensor(visual_map[None, :]), tokens)
+            f"visual map shape {visual_map.shape} does not match patch tokens {tokens.shape}")
+    return matmul(Tensor(visual_map[..., None, :]), tokens)
 
 
 def normalize_representation(rep: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -31,15 +31,15 @@ def normalize_representation(rep: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def inject_token(summary: Tensor, tokens: Tensor) -> Tensor:
     """Prepend the summary as token 0 of the encoder input."""
-    if summary.ndim != 2 or summary.shape != (1, tokens.shape[1]):
+    if summary.shape != (*tokens.shape[:-2], 1, tokens.shape[-1]):
         raise ShapeError(f"summary shape {summary.shape} incompatible with tokens {tokens.shape}")
-    return concat([summary, tokens], axis=0)
+    return concat([summary, tokens], axis=-2)
 
 
 @dataclass
 class SplitMemory:
-    summary: Tensor          # encoded discriminative token, (1, D)
-    memory: Tensor           # remaining visual tokens, (N, D)
+    summary: Tensor          # encoded discriminative token, (..., 1, D)
+    memory: Tensor           # remaining visual tokens, (..., N, D)
 
 
 def split_memory(encoded: Tensor) -> SplitMemory:
@@ -48,6 +48,6 @@ def split_memory(encoded: Tensor) -> SplitMemory:
     The slice severs the graph between the two halves: nothing downstream of
     ``memory`` can route gradient into ``summary``.
     """
-    if encoded.shape[0] < 2:
+    if encoded.shape[-2] < 2:
         raise ShapeError(f"need the summary plus at least one visual token, got {encoded.shape}")
-    return SplitMemory(summary=encoded[0:1, :], memory=encoded[1:, :])
+    return SplitMemory(summary=encoded[..., 0:1, :], memory=encoded[..., 1:, :])

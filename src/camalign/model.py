@@ -25,8 +25,8 @@ from .losses import LossBreakdown, composite_loss, label_bce, report_cross_entro
 @dataclass
 class ForwardResult:
     decoder: DecoderOutput
-    breakdown: LossBreakdown
-    total: Tensor
+    breakdown: LossBreakdown         # a list of them for a batch
+    total: Tensor                    # per sample: scalar, or (B,) for a batch
     features: PatchFeatures
     memory: Tensor
     summary: Tensor = None           # encoded discriminative token (vdmae/full)
@@ -92,6 +92,7 @@ class CaptionModel:
         """Extract, build the visual map (non-base), inject, encode, split.
 
         Returns (memory, summary, VisualMapResult-or-None, features).
+        ``images`` is one sample's list of views, or a (B, views, G, G) batch.
         ``pinned_map`` overrides the computed visual map; finite-difference
         checks use it to hold the constant target fixed.
         """
@@ -115,13 +116,16 @@ class CaptionModel:
                       k: float, pinned_map: np.ndarray = None) -> ForwardResult:
         """Teacher-forced pass producing the composite loss.
 
-        ``report_ids`` is the tokenised report including BOS/EOS framing.
+        ``report_ids`` is the tokenised report including BOS/EOS framing.  A
+        batch stacks its samples on a leading axis: images (B, views, G, G),
+        reports (B, T + 1) padded with PAD after EOS, labels (B, classes).
+        Every field then carries that axis, and ``breakdown`` is a list.
         """
-        if len(report_ids) < 2:
+        ids = np.asarray(report_ids, dtype=np.int64)
+        if ids.shape[-1] < 2:
             raise ContractError("report must contain at least BOS and EOS")
         memory, summary, map_result, features = self.encode_images(images, pinned_map)
-        prefix = report_ids[:-1]
-        targets = np.asarray(report_ids[1:], dtype=np.int64)
+        prefix, targets = ids[..., :-1], ids[..., 1:]
         out = self.decoder(prefix, memory)
         ce = report_cross_entropy(out.log_probs, targets)
 
@@ -132,13 +136,16 @@ class CaptionModel:
             presence, cams, visual = map_result.presence, map_result.cams, map_result.visual_map
             bce = label_bce(map_result.probs.logits, labels)
         if self.variant == "full":
-            embeddings = self.decoder.embed_words(prefix)
-            content = np.array([t not in (PAD, BOS, EOS, UNK) for t in prefix])
+            content = ~np.isin(prefix, (PAD, BOS, EOS, UNK))
             if content.any():
-                sims = consistency.word_similarities(embeddings, summary, content)
+                sims = consistency.word_similarities(
+                    self.decoder.embed_words(prefix), summary, content)
                 selected = consistency.select_important_words(sims, k)
                 text_map = consistency.textual_map(out.cross_final_avg, sims, selected)
                 mse = consistency.consistency_loss(text_map, visual)
+                has_words = content.any(axis=-1)
+                if not has_words.all():
+                    mse = mse * has_words
             # all-special report: consistency term skipped for this sample
 
         total, breakdown = composite_loss(ce, bce, mse, lam, delta)

@@ -4,7 +4,8 @@ activation map pipeline that turns its weights into a visual saliency map.
 The map aggregation (ReLU, min-max per class, elementwise max over present
 classes) runs on plain arrays: the aggregated map is consumed everywhere as
 a constant target, so no gradient flows through it.  The classification
-logits stay on the autodiff graph for the label loss.
+logits stay on the autodiff graph for the label loss.  Features may carry a
+leading batch axis, (..., N, C); every result then carries it too.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ PRESENCE_THRESHOLD = 0.5
 
 @dataclass
 class ClassProbabilities:
-    probs: np.ndarray        # (classes,) sigmoid of the logits, off the graph
-    logits: Tensor           # (classes,) on-graph, for the label loss
-    presence: np.ndarray     # (classes,) 0/1, strictly-above-threshold rule
+    probs: np.ndarray        # (..., classes) sigmoid of the logits, off the graph
+    logits: Tensor           # (..., classes) on-graph, for the label loss
+    presence: np.ndarray     # (..., classes) 0/1, strictly-above-threshold rule
 
 
 def classify_global(tokens: Tensor, class_head: Tensor) -> ClassProbabilities:
@@ -30,8 +31,8 @@ def classify_global(tokens: Tensor, class_head: Tensor) -> ClassProbabilities:
     Presence is 1 only for probability strictly above 0.5; exactly 0.5 maps
     to absent.
     """
-    pooled = mean(tokens, axis=0, keepdims=True)            # (1, C)
-    logits = matmul(pooled, transpose(class_head))[0, :]    # (classes,)
+    pooled = mean(tokens, axis=-2, keepdims=True)               # (..., 1, C)
+    logits = matmul(pooled, transpose(class_head))[..., 0, :]   # (..., classes)
     e = np.exp(-np.abs(logits.data))                        # stable in both tails
     probs = np.where(logits.data >= 0, 1.0, e) / (1.0 + e)
     presence = (probs > PRESENCE_THRESHOLD).astype(np.int64)
@@ -50,29 +51,28 @@ def class_activation_map(feats: np.ndarray, class_head: np.ndarray, class_idx: i
 
 
 def normalize_map(raw: np.ndarray) -> np.ndarray:
-    """ReLU then min-max to [0, 1]; constant-after-ReLU maps become all zeros."""
+    """ReLU then min-max to [0, 1] over the last axis; constant-after-ReLU maps become all zeros."""
     m = np.maximum(raw, 0.0)
-    lo, hi = m.min(), m.max()
-    if hi == lo:
-        return np.zeros_like(m)
-    return (m - lo) / (hi - lo)
+    lo, hi = m.min(axis=-1, keepdims=True), m.max(axis=-1, keepdims=True)
+    flat = hi == lo
+    return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, hi - lo))
 
 
 def aggregate_visual_map(maps) -> np.ndarray:
-    """Elementwise maximum over a non-empty set of equal-length maps."""
+    """Elementwise maximum over a non-empty set of equal-shape maps."""
     maps = list(maps)
     if not maps:
         raise ShapeError("cannot aggregate an empty set of maps")
-    lengths = {len(m) for m in maps}
-    if len(lengths) != 1:
-        raise ShapeError(f"maps disagree on length: {sorted(lengths)}")
+    shapes = {np.shape(m) for m in maps}
+    if len(shapes) != 1:
+        raise ShapeError(f"maps disagree on shape: {sorted(shapes)}")
     return np.maximum.reduce([np.asarray(m, dtype=np.float64) for m in maps])
 
 
 @dataclass
 class VisualMapResult:
-    visual_map: np.ndarray   # (N,) in [0, 1]
-    cams: np.ndarray         # (classes, N) raw per-class maps
+    visual_map: np.ndarray   # (..., N) in [0, 1]
+    cams: np.ndarray         # (..., classes, N) raw per-class maps
     presence: np.ndarray
     probs: ClassProbabilities
 
@@ -84,12 +84,12 @@ def visual_map_from_features(tokens: Tensor, class_head: Tensor) -> VisualMapRes
     the map so the alignment target never vanishes.
     """
     result = classify_global(tokens, class_head)
-    feats = tokens.data
-    head = class_head.data
-    cams = feats @ head.T                                    # (N, classes)
-    cams = cams.T.copy()                                     # (classes, N)
-    chosen = np.flatnonzero(result.presence)
-    if chosen.size == 0:
-        chosen = np.array([int(np.argmax(result.probs))])
-    visual = aggregate_visual_map([normalize_map(cams[i]) for i in chosen])
+    cams = np.swapaxes(tokens.data @ class_head.data.T, -1, -2)     # (..., classes, N)
+    chosen = result.presence.astype(bool)
+    classes = np.arange(chosen.shape[-1])
+    chosen |= ~chosen.any(axis=-1, keepdims=True) & (
+        classes == np.argmax(result.probs, axis=-1)[..., None])
+    # normalised maps are >= 0, so an unchosen class read as 0 never raises the max
+    maps = np.where(chosen[..., None], normalize_map(cams), 0.0)
+    visual = aggregate_visual_map(np.moveaxis(maps, -2, 0))
     return VisualMapResult(visual_map=visual, cams=cams, presence=result.presence, probs=result)

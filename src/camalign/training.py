@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ContractError, backward
+from .autodiff import ContractError, add, backward, tsum
 from .checkpoint import save_params
 from .config import RunConfig, save_config
-from .data import Vocab, build_vocab, detokenize, tokenize
+from .data import PAD, Vocab, build_vocab, detokenize, tokenize
 from .decoding import beam_search, greedy_decode
 from .losses import LossBreakdown
 from .metrics import evaluate_corpus
@@ -57,35 +58,47 @@ class TrainResult:
     run_dir: Path = None
 
 
-def sample_losses(model: CaptionModel, sample, vocab: Vocab, cfg: RunConfig):
-    ids = tokenize(sample.report, vocab)
-    return model.forward_train(
-        sample.images, ids, sample.labels,
-        lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
+def sample_losses(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig):
+    """Each sample's loss breakdown, and the batch loss: the mean of their totals.
+
+    Samples whose images share a shape form one group and run through
+    ``forward_train`` as one graph, reports padded with PAD to the group's
+    longest.  A ``ContractError`` leaves with ``.breakdowns`` of the groups
+    whose forward pass finished.
+    """
+    groups = {}
+    for i, s in enumerate(samples):
+        groups.setdefault(tuple(np.shape(view) for view in s.images), []).append(i)
+    breakdowns, sums = {}, []
+    try:
+        for members in groups.values():
+            ids = [tokenize(samples[i].report, vocab) for i in members]
+            width = max(map(len, ids))
+            result = model.forward_train(
+                np.stack([samples[i].images for i in members]),
+                np.array([x + [PAD] * (width - len(x)) for x in ids]),
+                np.stack([samples[i].labels for i in members]),
+                lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
+            breakdowns.update(zip(members, result.breakdown))
+            sums.append(tsum(result.total))
+        loss = reduce(add, sums) * (1.0 / len(samples))
+    except ContractError as err:
+        err.breakdowns = [breakdowns[i] for i in sorted(breakdowns)]
+        raise
+    return [breakdowns[i] for i in range(len(samples))], loss
 
 
 def train_step(model: CaptionModel, opt: Adam, batch, vocab: Vocab, cfg: RunConfig) -> list:
-    """One Adam step on the batch's mean loss; returns each sample's breakdown.
+    """One Adam step on the batch loss of ``sample_losses``; returns each sample's breakdown.
 
-    Totals are summed in sample order, then scaled by ``1/len(batch)``.  Only
-    the float breakdowns leave, so the batch's graph is freed on return.  A
-    ``ContractError`` leaves with ``.breakdowns`` of the samples whose forward
-    pass finished (none when the forward pass itself failed).
+    Only the float breakdowns leave, so the batch's graph is freed on return.
+    A ``ContractError`` leaves with ``.breakdowns`` as ``sample_losses`` set them.
     """
-    results = []
-    try:
-        results = [sample_losses(model, s, vocab, cfg) for s in batch]
-        batch_loss = results[0].total
-        for r in results[1:]:
-            batch_loss = batch_loss + r.total
-        batch_loss = batch_loss * (1.0 / len(batch))
-        opt.zero_grad()
-        backward(batch_loss)
-        opt.step()
-    except ContractError as err:
-        err.breakdowns = [r.breakdown for r in results]
-        raise
-    return [r.breakdown for r in results]
+    breakdowns, loss = sample_losses(model, batch, vocab, cfg)
+    opt.zero_grad()
+    backward(loss)
+    opt.step()
+    return breakdowns
 
 
 def generate_report(model: CaptionModel, sample, vocab: Vocab, beam: int, max_len: int) -> str:
@@ -99,14 +112,13 @@ def generate_report(model: CaptionModel, sample, vocab: Vocab, beam: int, max_le
 
 def evaluate_split(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig,
                    beam: int = 1):
-    """Teacher-forced loss terms plus decoded text metrics on a split."""
+    """Teacher-forced loss terms, in chunks of ``train.batch``, plus decoded text metrics."""
     terms = np.zeros(3)
-    candidates, references = [], []
-    for sample in samples:
-        result = sample_losses(model, sample, vocab, cfg)
-        terms += (result.breakdown.ce, result.breakdown.bce, result.breakdown.mse)
-        candidates.append(generate_report(model, sample, vocab, beam, cfg.decode.max_len))
-        references.append([sample.report.lower()])
+    for start in range(0, len(samples), cfg.train.batch):
+        for b in sample_losses(model, samples[start:start + cfg.train.batch], vocab, cfg)[0]:
+            terms += (b.ce, b.bce, b.mse)
+    candidates = [generate_report(model, s, vocab, beam, cfg.decode.max_len) for s in samples]
+    references = [[s.report.lower()] for s in samples]
     terms /= max(1, len(samples))
     breakdown = LossBreakdown(ce=terms[0], bce=terms[1], mse=terms[2],
                               lam=cfg.train.lambda_, delta=cfg.train.delta)

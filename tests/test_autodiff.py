@@ -220,7 +220,9 @@ PRIMITIVE_CASES = [
     ("div", lambda a, b: a / (b * b + 1.0), (2, 3), (2, 3)),
     ("matmul", matmul, (2, 3), (3, 4)),
     ("matmul_stacked", matmul, (3, 2, 4), (3, 4, 5)),         # (H,T,d) @ (H,d,S)
+    ("matmul_shared", matmul, (2, 3, 4), (4, 5)),             # (B,T,D) @ one weight
     ("cosine", cosine, (4, 3), (1, 3)),
+    ("cosine_batched", cosine, (2, 4, 3), (2, 1, 3)),
 ]
 
 

@@ -234,6 +234,7 @@ def test_labels_other_than_zero_or_one_name_path_and_line(tmp_path, labels):
     "[]", "5", '"grid"', "[[0.0], [1.0], [0.5]]",      # not one or two grids
     "[[]]", "[7]", '[[0.0, "x", 1.0, 0.5]]', "[[true]]",   # a grid that is not numbers
     "[[0.0, 1.0]]",                                      # not square
+    "[[0.0], [0.0, 1.0, 0.5, 0.2]]",                     # views of different sides
 ])
 def test_images_other_than_one_or_two_square_grids_name_path_and_line(tmp_path, images):
     path = tmp_path / "bad.jsonl"

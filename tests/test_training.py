@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from camalign.autodiff import backward, grad_of, trace, zero_grads
 from camalign.config import load_config
-from camalign.data import Sample, SyntheticSpec, generate_synthetic
+from camalign.data import Sample, SyntheticSpec, build_vocab, generate_synthetic, tokenize
+from camalign.model import build_model
 from camalign.training import (TrainingDiverged, TrainState, evaluate_split,
-                               train)
+                               sample_losses, train)
 
 MICRO = {"model.layers": 1, "model.heads": 2, "model.dim": 8,
          "model.feat_dim": 6, "model.patch": 4, "model.classes": 3,
@@ -112,13 +114,13 @@ def test_nan_input_aborts_with_batch_dump(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_batch_loss_dumps_every_sample_loss(tmp_path):
-    # each sample's total is finite, their sum over the batch is not
+    # each sample's total is finite, the sum of the batch's four totals is not
     train_s, val_s = micro_dataset()
-    with pytest.raises(TrainingDiverged, match=r"^add produced non-finite values from \(\), \(\);"):
+    with pytest.raises(TrainingDiverged, match=r"^tsum produced non-finite values from \(4,\);"):
         train(micro_cfg(**{"train.lambda": 1e308}), train_s, val_s, tmp_path / "run")
     dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
     assert len(dump["loss_terms"]) == len(dump["samples"]) == 4
-    assert dump["error"] == "add produced non-finite values from (), ()"
+    assert dump["error"] == "tsum produced non-finite values from (4,)"
 
 
 def test_empty_split_rejected(tmp_path):
@@ -144,3 +146,64 @@ def test_two_view_training_smoke(tmp_path):
     result = train(micro_cfg(**{"model.max_len": 18, "decode.max_len": 18}),
                    train_s, val_s, tmp_path / "run")
     assert np.isfinite(result.history[-1]["total"])
+
+
+# -- one graph per batch ------------------------------------------------------------
+
+
+def mixed_batch(views):
+    """1- and 2-glyph samples (reports of two lengths, so the selected word
+    counts differ) with the given view counts, plus one all-special report."""
+    samples = []
+    for i, v in enumerate(views):
+        pool = micro_dataset(samples=16, seed=10 + i, views=v)[0]
+        one, two = ([s for s in pool if s.labels.sum() == glyphs] for glyphs in (1, 2))
+        samples += one[:2] + two[:2]
+    vocab = build_vocab([s.report for s in samples])
+    odd = samples[1]
+    samples.insert(2, Sample(id="special", images=odd.images, report="zzz qqq", labels=odd.labels))
+    return samples, vocab
+
+
+@pytest.mark.parametrize("views", [(1,), (2,), (1, 2)], ids=["one_view", "two_views", "mixed"])
+@pytest.mark.parametrize("variant", ["base", "vdmae", "full"])
+def test_batch_equals_mean_of_batches_of_one(variant, views):
+    samples, vocab = mixed_batch(views)
+    cfg = micro_cfg(**{"train.variant": variant, "model.layers": 2, "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    model = build_model(cfg, len(vocab), np.random.default_rng(4))
+    params = model.params()
+
+    breakdowns, loss = sample_losses(model, samples, vocab, cfg)
+    zero_grads(params.values())
+    backward(loss)
+    batched = {name: grad_of(p).copy() for name, p in params.items()}
+
+    mean_grads = {name: np.zeros_like(p.data) for name, p in params.items()}
+    totals = []
+    for sample, got in zip(samples, breakdowns):
+        one = model.forward_train(sample.images, tokenize(sample.report, vocab), sample.labels,
+                                  lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
+        want = one.breakdown
+        assert max(abs(got.ce - want.ce), abs(got.bce - want.bce), abs(got.mse - want.mse)) <= 1e-12
+        totals.append(float(one.total.data))
+        zero_grads(params.values())
+        backward(one.total)
+        for name, p in params.items():
+            mean_grads[name] += grad_of(p) / len(samples)
+    assert breakdowns[2].mse == 0.0                      # the all-special report
+    if variant == "full":
+        assert all(b.mse > 0.0 for i, b in enumerate(breakdowns) if i != 2)
+    assert abs(float(loss.data) - np.mean(totals)) <= 1e-12
+    for name in params:
+        np.testing.assert_allclose(batched[name], mean_grads[name], rtol=0, atol=1e-10,
+                                   err_msg=name)
+
+
+def test_a_batch_builds_one_graph():
+    samples, vocab = mixed_batch((1, 1))
+    cfg = micro_cfg(**{"train.variant": "full"})
+    model = build_model(cfg, len(vocab), np.random.default_rng(4))
+    one, eight = (len(trace(sample_losses(model, samples[:n], vocab, cfg)[1]).nodes)
+                  for n in (1, 8))
+    assert eight < 1.5 * one
