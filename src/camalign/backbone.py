@@ -262,17 +262,17 @@ class DecoderOutput:
 # -- numpy mirrors of the graph ops, in the same op order, for Decoder.step_fn --
 
 
-def _heads(x: np.ndarray, attn: MultiHeadAttention, name: str, axes) -> np.ndarray:
-    """Project rows with ``attn.w<name>`` and split them into heads, as ``__call__`` does."""
+def _heads(x: np.ndarray, attn: MultiHeadAttention, name: str) -> np.ndarray:
+    """Project rows (..., D) with ``attn.w<name>`` and split them into heads, (..., H, d)."""
     y = x @ getattr(attn, "w" + name).data + getattr(attn, "b" + name).data
-    return y.reshape(-1, attn.heads, attn.head_dim).transpose(axes).copy()
+    return y.reshape(*x.shape[:-1], attn.heads, attn.head_dim)
 
 
 def _attend(attn: MultiHeadAttention, x, k, v) -> np.ndarray:
-    """Rows x (T,D) attend over keys (H,d,S) and values (H,S,d); output (T,D)."""
-    scores = softmax_values((_heads(x, attn, "q", (1, 0, 2)) @ k) * (1.0 / np.sqrt(attn.head_dim)))
-    mixed = (scores @ v).transpose(1, 0, 2).reshape(-1, attn.dim)
-    return mixed @ attn.wo.data + attn.bo.data
+    """Rows x (R,D) attend over keys (R,H,d,S) and values (R,H,S,d), or shared (H,d,S), (H,S,d)."""
+    q = _heads(x, attn, "q")[:, :, None]                                    # (R,H,1,d)
+    scores = softmax_values((q @ k) * (1.0 / np.sqrt(attn.head_dim)))
+    return (scores @ v).reshape(-1, attn.dim) @ attn.wo.data + attn.bo.data
 
 
 class Decoder:
@@ -316,57 +316,72 @@ class Decoder:
         return DecoderOutput(log_probs=log_softmax(logits), cross_final=cross_scores)
 
     def step_fn(self, memory: np.ndarray):
-        """``step(prefix_ids)`` -> next-token log-probs over a fixed memory (N, D).
+        """``step(prefixes)`` -> (R, vocab) next-token log-probs over a fixed memory (N, D).
 
         Plain numpy on the parameters' values: no graph.  The memory's
         cross-attention keys/values are projected once; every prefix seen keeps
-        its log-probs and per-layer self-attention keys/values, so a call
-        extends its longest cached ancestor one position at a time.  Equals
-        ``self(prefix, memory).log_probs[-1]`` up to rounding.
+        its log-probs and per-layer self-attention keys/values.  A call advances
+        the uncached prefixes and ancestors in waves of one length, each wave's
+        R rows through one set of (R, D) products over the parents' stacked keys
+        (R,H,d,t) and values (R,H,t,d).  Row r equals
+        ``self(prefixes[r], memory).log_probs[-1]`` up to rounding.
         """
         for name, p in self.params().items():
             if not np.all(np.isfinite(p.data)):
                 raise ContractError(f"decoder parameter {name} holds non-finite values")
         if memory.shape[0] < 1:
             raise ShapeError("decoder memory is empty")
-        cross = [(_heads(memory, b.cross_attn, "k", (1, 2, 0)),
-                  _heads(memory, b.cross_attn, "v", (1, 0, 2))) for b in self.blocks]
+        cross = [(_heads(memory, b.cross_attn, "k").transpose(1, 2, 0).copy(),
+                  _heads(memory, b.cross_attn, "v").transpose(1, 0, 2).copy()) for b in self.blocks]
         norms = [[(n.gain.data, n.bias.data) for n in (b.norm1, b.norm2, b.norm3)]
                  for b in self.blocks]
         # prefix -> (log-probs, per block (K (H,d,t), V (H,t,d)))
         cache = {(): (None, [(k[..., :0], v[:, :0]) for k, v in cross])}
-        vocab = self.embedding.shape[0]
+        vocab, dim = self.embedding.shape
+        positions = np.zeros((0, dim))            # grown on demand, built once per closure
 
-        def step(prefix_ids):
-            prefix = tuple(int(i) for i in prefix_ids)
-            if not prefix or min(prefix) < 0 or max(prefix) >= vocab:
-                raise ContractError(f"prefix must be non-empty ids in [0, {vocab}): {prefix}")
-            t = len(prefix)
-            while prefix[:t] not in cache:
-                t -= 1
-            logp, kv = cache[prefix[:t]]
-            while t < len(prefix):
-                t += 1
-                x = self.embedding.data[[prefix[t - 1]]]
-                if self.cfg.pos_enc:
-                    x = x + sinusoid_positions(t, self.cfg.dim)[t - 1:]
-                grown = []
-                for block, (k, v), (mem_k, mem_v), (n1, n2, n3) in zip(self.blocks, kv, cross, norms):
-                    k = np.concatenate([k, _heads(x, block.self_attn, "k", (1, 2, 0))], axis=2)
-                    v = np.concatenate([v, _heads(x, block.self_attn, "v", (1, 0, 2))], axis=1)
-                    grown.append((k, v))
-                    x = layer_norm_values(x + _attend(block.self_attn, x, k, v), *n1)[0]
-                    x = layer_norm_values(x + _attend(block.cross_attn, x, mem_k, mem_v), *n2)[0]
-                    ffn = block.ffn
-                    hidden = x @ ffn.w1.data + ffn.b1.data
-                    hidden = np.where(hidden > 0.0, hidden, 0.0)
-                    x = layer_norm_values(x + (hidden @ ffn.w2.data + ffn.b2.data), *n3)[0]
-                kv = grown
-                logp = log_softmax_values(x @ self.out_w.data + self.out_b.data)[-1]
-                if not np.all(np.isfinite(logp)):
-                    raise ContractError(f"decoder step produced non-finite log-probs at {prefix[:t]}")
-                logp.flags.writeable = False   # shared with the cache
-                cache[prefix[:t]] = (logp, kv)
-            return logp
+        def advance(wave):
+            """Compute and cache ``wave``: distinct prefixes of one length t, parents cached."""
+            nonlocal positions
+            t = len(wave[0])
+            x = self.embedding.data[[p[-1] for p in wave]]
+            if self.cfg.pos_enc:
+                if len(positions) < t:
+                    positions = sinusoid_positions(2 * t, dim)
+                x = x + positions[t - 1]
+            parents = zip(*(cache[p[:-1]][1] for p in wave))     # per block: each row's (K, V)
+            grown = []
+            for block, kv, (mem_k, mem_v), (n1, n2, n3) in zip(self.blocks, parents, cross, norms):
+                k = np.concatenate([np.array([pk for pk, _ in kv]),
+                                    _heads(x, block.self_attn, "k")[..., None]], axis=3)
+                v = np.concatenate([np.array([pv for _, pv in kv]),
+                                    _heads(x, block.self_attn, "v")[:, :, None]], axis=2)
+                grown.append((k, v))
+                x = layer_norm_values(x + _attend(block.self_attn, x, k, v), *n1)[0]
+                x = layer_norm_values(x + _attend(block.cross_attn, x, mem_k, mem_v), *n2)[0]
+                ffn = block.ffn
+                hidden = x @ ffn.w1.data + ffn.b1.data
+                hidden = np.where(hidden > 0.0, hidden, 0.0)
+                x = layer_norm_values(x + (hidden @ ffn.w2.data + ffn.b2.data), *n3)[0]
+            logp = log_softmax_values(x @ self.out_w.data + self.out_b.data)
+            bad = ~np.isfinite(logp).all(axis=1)
+            if bad.any():
+                raise ContractError(f"decoder step produced non-finite log-probs at {wave[bad.argmax()]}")
+            for r, prefix in enumerate(wave):
+                cache[prefix] = (logp[r], [(k[r], v[r]) for k, v in grown])
+
+        def step(prefixes):
+            keys = [tuple(int(i) for i in p) for p in prefixes]
+            waves = {}                            # length -> uncached prefixes, in order
+            for prefix in keys:
+                if not prefix or min(prefix) < 0 or max(prefix) >= vocab:
+                    raise ContractError(f"prefix must be non-empty ids in [0, {vocab}): {prefix}")
+                for t in range(len(prefix), 0, -1):
+                    if prefix[:t] in cache:
+                        break
+                    waves.setdefault(t, {})[prefix[:t]] = None
+            for t in sorted(waves):
+                advance(list(waves[t]))
+            return np.array([cache[p][0] for p in keys]).reshape(len(keys), vocab)
 
         return step

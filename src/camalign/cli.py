@@ -119,18 +119,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _put_once(table: dict, where: str, key, value) -> None:
+    if key in table:
+        raise DataError(f"{where}: duplicate id {key!r}")
+    table[key] = value
+
+
 def cmd_evaluate(args) -> int:
     candidates, references = {}, {}
     for where, record in read_jsonl(args.candidates):
         candidate = require_field(where, record, "candidate")
-        candidates[require_field(where, record, "id")] = candidate
+        _put_once(candidates, where, require_field(where, record, "id"), candidate)
         if not args.references:
             refs = require_field(where, record, "references")
             references[record["id"]] = [x.lower() for x in refs]
     if args.references:
         for where, record in read_jsonl(args.references):
             refs = record.get("references") or [require_field(where, record, "report")]
-            references[require_field(where, record, "id")] = [r.lower() for r in refs]
+            _put_once(references, where, require_field(where, record, "id"), [r.lower() for r in refs])
         missing = sorted(set(candidates) ^ set(references))
         if missing:
             raise DataError(f"candidate/reference id mismatch: {missing}")

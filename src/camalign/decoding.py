@@ -1,10 +1,10 @@
 """Greedy and beam-search sequence decoding.
 
-Both work against a step function mapping a prefix (list of token ids,
-starting with BOS) to a log-probability vector over the vocabulary, so toy
-language models and the real decoder share the same code path.  A step
-function may keep state between calls (the model's caches every prefix it
-has seen), so make one per sample.
+Both work against a step function mapping R prefixes (lists of token ids,
+starting with BOS) to an (R, vocab) array of next-token log-probabilities, one
+row per prefix, so toy language models and the real decoder share the same
+code path.  Greedy makes one-row calls.  A step function may keep state between
+calls (the model's caches every prefix it has seen), so make one per sample.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ def greedy_decode(step_fn, max_len: int, bos: int = BOS, eos: int = EOS) -> list
     prefix = [bos]
     out = []
     for _ in range(max_len):
-        nxt = int(np.argmax(step_fn(prefix)))     # argmax ties -> lowest id
+        nxt = int(np.argmax(step_fn([prefix])[0]))     # argmax ties -> lowest id
         out.append(nxt)
         if nxt == eos:
             break
@@ -44,8 +44,9 @@ def greedy_decode(step_fn, max_len: int, bos: int = BOS, eos: int = EOS) -> list
 def beam_search(step_fn, width: int, max_len: int, bos: int = BOS, eos: int = EOS) -> list:
     """Breadth-limited search ranked by length-normalised log-probability.
 
-    EOS finishes a beam, which then competes unchanged.  Ties break on the
-    token-id sequence, so the result is deterministic.
+    One step call per position scores every live beam.  EOS finishes a beam,
+    which then competes unchanged.  Ties break on the token-id sequence, so
+    the result is deterministic.
     """
     if max_len <= 0:
         raise ValueError(f"max_len must be positive, got {max_len}")
@@ -53,12 +54,9 @@ def beam_search(step_fn, width: int, max_len: int, bos: int = BOS, eos: int = EO
         raise ValueError(f"beam width must be at least 1, got {width}")
     beams = [Beam(ids=())]
     for _ in range(max_len):
-        candidates = []
-        for beam in beams:
-            if beam.finished:
-                candidates.append(beam)
-                continue
-            logp = step_fn([bos, *beam.ids])
+        live = [b for b in beams if not b.finished]
+        candidates = [b for b in beams if b.finished]
+        for beam, logp in zip(live, step_fn([[bos, *b.ids] for b in live])):
             # Beam.score of every extension; past this beam's own best ``width``
             # an extension cannot reach the top ``width`` overall
             scores = (beam.log_prob + logp) / (len(beam.ids) + 1)

@@ -148,6 +148,21 @@ def test_evaluate_bad_candidate_record_names_path_and_line(tmp_path, capsys, sec
     assert f"{cands}:2: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeated, with_refs", [("c", False), ("c", True), ("r", True)])
+def test_evaluate_repeated_id_names_path_and_line(tmp_path, capsys, repeated, with_refs):
+    # a repeated id used to overwrite the earlier record and score fewer candidates
+    files = {"c": tmp_path / "c.jsonl", "r": tmp_path / "r.jsonl"}
+    for name, path in files.items():
+        ids = "aba" if name == repeated else "ab"
+        path.write_text("".join(json.dumps({"id": i, "candidate": "x", "references": ["x"],
+                                            "report": "x"}) + "\n" for i in ids))
+    args = ["evaluate", "--candidates", str(files["c"])]
+    if with_refs:
+        args += ["--references", str(files["r"])]
+    assert main(args) == 1
+    assert f"{files[repeated]}:3: duplicate id 'a'" in capsys.readouterr().err
+
+
 def test_evaluate_reference_record_without_report_names_path_and_line(tmp_path, capsys):
     cands = tmp_path / "c.jsonl"
     refs = tmp_path / "r.jsonl"

@@ -7,8 +7,14 @@ from camalign.data import BOS, EOS
 from camalign.decoding import Beam, beam_search, greedy_decode
 
 
+def rows(one):
+    """Step function over a list of prefixes, one ``one(prefix)`` row each."""
+    return lambda prefixes: np.array([one(p) for p in prefixes])
+
+
 def toy_lm(seed, vocab=5):
     """Deterministic toy LM: the distribution depends on the whole prefix."""
+    @rows
     def step(prefix):
         h = np.random.default_rng([seed, len(prefix), *prefix]).normal(size=vocab)
         e = np.exp(h - h.max())
@@ -29,7 +35,7 @@ def enumerate_best(step_fn, vocab, max_len):
             if best is None or key < best[0]:
                 best = (key, list(ids))
             return
-        logprobs = step_fn([BOS, *ids])
+        logprobs = step_fn([[BOS, *ids]])[0]
         for token in range(vocab):
             walk(ids + [token], logp + float(logprobs[token]))
 
@@ -58,6 +64,7 @@ def test_wide_beam_is_exhaustive():
 
 
 def test_eos_terminates_beam():
+    @rows
     def step(prefix):
         logp = np.full(4, -10.0)
         logp[EOS] = -0.01
@@ -67,6 +74,7 @@ def test_eos_terminates_beam():
 
 
 def test_deterministic_tie_break_prefers_low_token_id():
+    @rows
     def step(prefix):
         return np.log(np.full(4, 0.25))
     out = beam_search(step, 2, 1)
@@ -74,6 +82,7 @@ def test_deterministic_tie_break_prefers_low_token_id():
 
 
 def test_max_len_caps_generation():
+    @rows
     def step(prefix):
         logp = np.full(4, -10.0)
         logp[3] = -0.01
@@ -98,7 +107,7 @@ def test_beam_score_is_length_normalized():
 
 
 def beam_search_whole_vocabulary(step_fn, width, max_len, bos=BOS, eos=EOS):
-    """Reference: every beam expands over the whole vocabulary before the cut."""
+    """Reference: every beam, one one-row step call each, expands over the whole vocabulary."""
     beams = [Beam(ids=())]
     for _ in range(max_len):
         candidates = []
@@ -106,7 +115,7 @@ def beam_search_whole_vocabulary(step_fn, width, max_len, bos=BOS, eos=EOS):
             if beam.finished:
                 candidates.append(beam)
                 continue
-            logp = step_fn([bos, *beam.ids])
+            logp = step_fn([[bos, *beam.ids]])[0]
             for token in range(len(logp)):
                 candidates.append(Beam(ids=beam.ids + (token,),
                                        log_prob=beam.log_prob + float(logp[token]),
@@ -120,6 +129,7 @@ def beam_search_whole_vocabulary(step_fn, width, max_len, bos=BOS, eos=EOS):
 
 def tied_lm(seed, vocab, levels):
     """Toy LM whose log-probs take few distinct values, so scores tie often."""
+    @rows
     def step(prefix):
         rng = np.random.default_rng([seed, len(prefix), *prefix])
         return -0.5 * rng.integers(0, levels, size=vocab)

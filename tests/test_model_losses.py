@@ -261,9 +261,10 @@ def test_all_special_report_skips_consistency_term():
 def test_step_fn_consistent_with_decoder():
     model, samples, vocab = micro_setup("full")
     step = model.step_fn(samples[0].images)
-    logp = step([1, 5])
-    assert logp.shape == (len(vocab),)
-    assert abs(np.exp(logp).sum() - 1.0) < 1e-9
+    logp = step([[1, 5], [1]])
+    assert logp.shape == (2, len(vocab))
+    np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    assert step([]).shape == (0, len(vocab))
 
 
 # -- cached decoder step -------------------------------------------------------------
@@ -292,25 +293,28 @@ def test_step_equals_decoder_on_every_visited_prefix(layers, pos_enc, views):
     model, sample = step_setup(layers, pos_enc, views)
     memory = model.encode_images(sample.images)[0].data
     assert memory.shape[0] == 4 * views
-    step, visited = model.step_fn(sample.images), []
+    step, calls = model.step_fn(sample.images), []
 
-    def recording(prefix):
-        visited.append(tuple(prefix))
-        return step(prefix)
+    def recording(prefixes):
+        out = step(prefixes)
+        calls.append(([tuple(p) for p in prefixes], out))
+        return out
 
     greedy_decode(recording, 8)
     beam_search(recording, 3, 8)
-    assert len(set(visited)) > 8
-    for prefix in visited:
-        np.testing.assert_allclose(step(prefix), reference_logp(model, prefix, memory),
-                                   rtol=0, atol=1e-12)
+    assert len({p for prefixes, _ in calls for p in prefixes}) > 8
+    assert max(len(prefixes) for prefixes, _ in calls) == 3
+    for prefixes, out in calls:
+        for prefix, row in zip(prefixes, out, strict=True):
+            np.testing.assert_allclose(row, reference_logp(model, prefix, memory),
+                                       rtol=0, atol=1e-12)
 
 
 def test_saturated_step_log_probs_are_not_clipped():
     model, sample = step_setup(2, True, 1)
     model.decoder.out_w.data = model.decoder.out_w.data * 1e4
     memory = model.encode_images(sample.images)[0].data
-    logp = model.step_fn(sample.images)([1, 5])
+    logp = model.step_fn(sample.images)([[1, 5]])[0]
     assert logp.min() < -1000.0
     np.testing.assert_allclose(logp, reference_logp(model, [1, 5], memory), rtol=0, atol=1e-8)
 
@@ -319,12 +323,19 @@ def test_step_on_a_prefix_whose_parents_were_never_seen():
     model, sample = step_setup(2, True, 1)
     memory = model.encode_images(sample.images)[0].data
     prefix = [1, 5, 7, 3, 4]
-    cold = model.step_fn(sample.images)(prefix)
+    cold = model.step_fn(sample.images)([prefix])[0]
     warm_step = model.step_fn(sample.images)
     for t in range(1, len(prefix) + 1):
-        warm = warm_step(prefix[:t])
+        warm = warm_step([prefix[:t]])[0]
     assert np.array_equal(cold, warm)
     np.testing.assert_allclose(cold, reference_logp(model, prefix, memory), rtol=0, atol=1e-12)
+    # one call: a cold prefix, a warm prefix of another length, a cold child of a warm prefix
+    mixed = [[1, 6, 2, 8], prefix[:3], [1, 5, 7, 9]]
+    rows = warm_step(mixed)
+    one_step = model.step_fn(sample.images)
+    for p, row in zip(mixed, rows, strict=True):
+        np.testing.assert_allclose(row, one_step([p])[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, reference_logp(model, p, memory), rtol=0, atol=1e-12)
 
 
 def test_step_rejects_empty_and_out_of_range_prefixes():
@@ -332,7 +343,7 @@ def test_step_rejects_empty_and_out_of_range_prefixes():
     step = model.step_fn(samples[0].images)
     for prefix in ([], [1, len(vocab)], [1, -1]):
         with pytest.raises(ContractError):
-            step(prefix)
+            step([[1, 2], prefix])
 
 
 def test_step_closure_is_freed_without_the_cycle_collector():
@@ -347,6 +358,19 @@ def test_step_closure_is_freed_without_the_cycle_collector():
         assert alive() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("max_len", [1, 6, 12])
+def test_beam_search_makes_one_step_call_per_position(max_len):
+    model, samples, _ = micro_setup("full")
+    step, calls = model.step_fn(samples[0].images), []
+
+    def counting(prefixes):
+        calls.append(len(prefixes))
+        return step(prefixes)
+
+    beam_search(counting, 3, max_len)
+    assert 1 <= len(calls) <= max_len
 
 
 @pytest.mark.parametrize("beam", [1, 3])
