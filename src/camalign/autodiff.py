@@ -10,7 +10,10 @@ difference checks, not by speed.  Tensors are immutable values: the package
 never writes into a tensor's ``.data`` (``Adam.step`` and ``load_state``
 rebind it to a new array), so ``reshape`` may return a view of its input's
 storage.  Every other primitive returns storage of its own; ``transpose``
-copies so that later products see a contiguous operand.
+copies so that later products see a contiguous operand.  Gradients follow
+the same rule: a tensor keeps the first gradient it receives by reference
+(often another node's ``.grad``, or a view of it) and adds every later one
+out of place, so no code writes into a ``.grad`` array in place.
 """
 from __future__ import annotations
 
@@ -34,8 +37,10 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         # Validated after every primitive; trips early on overflow
-        # instead of letting NaNs propagate into the optimiser.
-        if not np.all(np.isfinite(arr)):
+        # instead of letting NaNs propagate into the optimiser.  Any NaN or
+        # inf makes the sum non-finite; finite values whose sum overflows
+        # fall through to the exact check.
+        if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
             raise ContractError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -125,9 +130,9 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if g.shape != t.shape:
+        raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {t.shape}")
+    t.grad = np.asarray(g) if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -215,8 +220,10 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         if a.requires_grad:
             _accumulate(a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        if b.requires_grad and a.ndim > b.ndim:   # one shared weight: one product over all rows
+            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        elif b.requires_grad:
+            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
 

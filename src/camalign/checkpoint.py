@@ -65,9 +65,11 @@ def load_params(path) -> dict:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported archive version {version}")
     params = {}
-    for _ in range(count):
+    for index in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         name = take(name_len, "name").decode("utf-8")
+        if name in params:
+            raise CheckpointError(f"{path}: record {index} repeats the name {name!r}")
         (ndim,) = struct.unpack("<B", take(1, f"{name} rank"))
         shape = tuple(struct.unpack("<I", take(4, f"{name} dims"))[0] for _ in range(ndim))
         data = np.frombuffer(take(8 * math.prod(shape), f"{name} data"), dtype="<f8")

@@ -36,7 +36,8 @@ class Adam:
     """Optimises named parameter groups, each with its own learning rate.
 
     groups: list of (params dict name->Tensor, lr).  Parameters are leaf
-    tensors whose ``.data`` is updated in place between graph constructions.
+    tensors; ``step`` rebinds each one's ``.data`` to a new array between
+    graph constructions and reads its ``.grad`` without writing into it.
     """
 
     def __init__(self, groups: list):

@@ -1,6 +1,7 @@
 import inspect
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,25 @@ def test_matmul_stacked_equals_per_slice_product(rng):
     out = matmul(Tensor(a), Tensor(b)).data
     assert out.shape == (3, 2, 5)
     assert all(np.array_equal(out[h], a[h] @ b[h]) for h in range(3))
+
+
+def test_matmul_shared_weight_gradient_is_the_sum_of_slice_products(rng):
+    a = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    g = rng.normal(size=(3, 5, 6))
+    backward(tsum(matmul(a, b) * g))
+    expected = sum(a.data[i].T @ g[i] for i in range(3))
+    assert b.grad.shape == (4, 6)
+    assert np.abs(b.grad - expected).max() <= 1e-12
+
+
+def test_matmul_stacked_gradient_equals_per_slice_products(rng):
+    a = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+    g = rng.normal(size=(3, 5, 6))
+    backward(tsum(matmul(a, b) * g))
+    assert all(np.array_equal(b.grad[h], a.data[h].T @ g[h]) for h in range(3))
+    assert all(np.array_equal(a.grad[h], g[h] @ b.data[h].T) for h in range(3))
 
 
 @pytest.mark.parametrize("shape_a,shape_b", [
@@ -123,9 +143,17 @@ def test_layer_norm_rejects_single_channel():
         layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_tensor_rejects_non_finite():
-    with pytest.raises(ContractError):
-        Tensor([1.0, np.nan])
+    for values in ([1.0, np.nan], [np.inf, -np.inf], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ContractError):
+            Tensor(values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_tensor_accepts_finite_values_whose_sum_overflows():
+    for values in ([1e308, 1e308], [-1e308, -1e308]):
+        assert np.array_equal(Tensor(values).data, values)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -185,6 +213,50 @@ def test_backward_linearity_exact():
     ad.zero_grads([theta])
     backward(loss_a() + loss_b())
     assert np.abs(theta.grad - (ga + gb)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("order", ["add_first", "mul_first"])
+def test_owned_first_gradient_is_never_written_through(order, rng):
+    """``a + b`` hands both operands the same gradient array; ``a`` then
+    receives a second gradient, which must not reach ``b``."""
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+
+    def loss():
+        shared, scaled = tsum(a + b), tsum(a * 3.0)
+        return shared + scaled if order == "add_first" else scaled + shared
+
+    backward(loss())
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+    assert np.array_equal(a.grad, np.full((2, 3), 4.0))
+    backward(loss())   # no zero_grads: a second pass adds onto the first
+    assert np.array_equal(b.grad, np.full((2, 3), 2.0))
+    assert np.array_equal(a.grad, np.full((2, 3), 8.0))
+
+
+def test_accumulate_rejects_a_gradient_of_the_wrong_shape():
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 3\)"):
+        ad._accumulate(t, np.ones(3))
+
+
+def test_scalar_gradient_keeps_the_tensor_shape():
+    s = Tensor(2.0, requires_grad=True)
+    backward(tsum(s + Tensor([1.0, 2.0, 3.0])))
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 3.0
+
+
+def test_no_source_writes_into_a_grad_in_place():
+    """A tensor keeps its first gradient by reference, and that array may be
+    another tensor's gradient, so ``.grad`` arrays are only ever rebound."""
+    in_place = re.compile(r"\.grad\b(\[[^\]]*\])?\s*[-+*/]="      # augmented assignment
+                          r"|\.grad\[[^\]]*\]\s*=(?!=)"             # item assignment
+                          r"|\bout\s*=\s*[\w.]*\.grad\b")            # a ufunc's out=
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(Path(ad.__file__).parent.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if in_place.search(line)]
+    assert not offenders, f"in-place writes into a .grad: {offenders}"
 
 
 def test_tape_is_topologically_ordered(rng):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,15 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     save_params(path, {"w": np.ones(2)})
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError, match="1 trailing bytes"):
+        load_params(path)
+
+
+def test_checkpoint_rejects_a_repeated_record_name(tmp_path):
+    record = struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1)
+    path = tmp_path / "twice.bin"
+    path.write_bytes(b"FTAR" + struct.pack("<BI", 1, 2)
+                     + record + struct.pack("<d", 1.0) + record + struct.pack("<d", 2.0))
+    with pytest.raises(CheckpointError, match=r"record 1 repeats the name 'w'$"):
         load_params(path)
 
 
