@@ -101,10 +101,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def detach(self) -> "Tensor":
-        """Constant leaf sharing this tensor's values; no gradient path."""
-        return Tensor(self.data.copy())
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -458,14 +454,6 @@ class Tape:
 
     nodes: list
 
-    def verify(self) -> bool:
-        seen = set()
-        for node in self.nodes:
-            if any(id(p) not in seen for p in node._parents):
-                return False
-            seen.add(id(node))
-        return True
-
 
 def trace(root: Tensor) -> Tape:
     """Linearise the graph reachable from ``root`` (iterative post-order)."""
@@ -486,7 +474,7 @@ def trace(root: Tensor) -> Tape:
     return Tape(nodes)
 
 
-def backward(loss: Tensor, tape: Tape = None) -> Tape:
+def backward(loss: Tensor) -> Tape:
     """Accumulate d(loss)/d(node) into ``.grad`` for every node on the tape.
 
     ``loss`` must be a scalar.  Parameters not reachable from the loss keep
@@ -494,8 +482,7 @@ def backward(loss: Tensor, tape: Tape = None) -> Tape:
     """
     if loss.size != 1:
         raise ContractError(f"backward seed must be scalar, got shape {loss.shape}")
-    if tape is None:
-        tape = trace(loss)
+    tape = trace(loss)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
         if node._backward is not None and node.grad is not None:

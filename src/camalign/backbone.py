@@ -33,13 +33,10 @@ def ones_param(shape) -> Tensor:
 
 def sinusoid_positions(n: int, dim: int) -> np.ndarray:
     """Standard sin/cos interleaved position table, shape (n, dim)."""
-    if n == 0:
-        return np.zeros((0, dim))
     pos = np.arange(n)[:, None]
     i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 @dataclass
@@ -77,7 +74,6 @@ class PatchExtractor:
         else:
             self.p1, self.p2 = cfg.patch, 1
         mid = max(4, cfg.feat_dim // 2)
-        self.mid = mid
         self.w1 = xavier(rng, self.p1 * self.p1, mid)
         # non-zero bias init: zero-background patches would otherwise sit
         # exactly on the ReLU kink, where subgradients are ill-defined
@@ -140,8 +136,8 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    def __init__(self, dim: int, rng, hidden: int = None):
-        hidden = hidden or 4 * dim
+    def __init__(self, dim: int, rng):
+        hidden = 4 * dim
         self.w1 = xavier(rng, dim, hidden)
         self.b1 = zeros_param((hidden,))
         self.w2 = xavier(rng, hidden, dim)

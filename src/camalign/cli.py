@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_params
-from .config import ConfigError, RunConfig, load_config, to_flat
+from .config import VARIANTS, ConfigError, RunConfig, load_config, to_flat
 from .data import (DataError, GLYPH_NAMES, SyntheticSpec, Vocab,
                    generate_synthetic, load_dataset, read_jsonl, require_field,
                    save_alignment, save_dataset, split_dataset, tokenize)
@@ -237,7 +237,7 @@ def run_ablation(cfg: RunConfig, data_dir: Path, out_dir: Path, log_fn=None) -> 
     train_samples, val_samples = _load_splits(data_dir, cfg.model.classes)
     test_samples = load_dataset(data_dir / "test.jsonl", expected_classes=cfg.model.classes)
     rows = []
-    for variant in ("base", "vdmae", "full"):
+    for variant in VARIANTS:
         variant_cfg = load_config(None, {**to_flat(cfg), "train.variant": variant})
         row = {"variant": variant}
         try:
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="run directory (default $CAMALIGN_RUNS)")
     p.add_argument("--config", default=None)
     p.add_argument("--set", nargs="*", metavar="KEY=VALUE")
-    p.add_argument("--variant", choices=("base", "vdmae", "full"), default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 

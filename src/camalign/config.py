@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -70,16 +71,18 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         m, t, v = self.model, self.train, self.vtac
+        if m.layers < 0 or min(m.heads, m.dim, m.feat_dim, m.patch, m.classes) < 1:
+            raise ConfigError("model.layers/heads/dim/feat_dim/patch/classes out of range")
         if m.dim % m.heads != 0:
             raise ConfigError(f"model.dim ({m.dim}) must be divisible by model.heads ({m.heads})")
-        if m.layers < 0 or m.heads < 1 or m.patch < 1 or m.classes < 1:
-            raise ConfigError("model.layers/heads/patch/classes out of range")
         if t.variant not in VARIANTS:
             raise ConfigError(f"train.variant must be one of {VARIANTS}, got {t.variant!r}")
         if not (0.0 < v.k <= 1.0):
             raise ConfigError(f"vtac.k must lie in (0, 1], got {v.k}")
-        if t.lambda_ < 0 or t.delta < 0:
-            raise ConfigError("loss weights must be non-negative")
+        for key in ("lr_ve", "lr_ed", "lambda", "delta"):
+            value = getattr(t, _FIELD_ALIASES.get(key, key))
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"train.{key} must be finite and non-negative, got {value}")
         if t.patience < 0 or t.epochs < 1 or t.batch < 1:
             raise ConfigError("train.patience/epochs/batch out of range")
         if self.decode.beam < 1 or self.decode.max_len < 1:
@@ -92,17 +95,29 @@ _FIELD_ALIASES = {"lambda": "lambda_"}
 _KEY_ALIASES = {v: k for k, v in _FIELD_ALIASES.items()}
 
 
-def _coerce(value, target):
+def _coerce(key: str, value, target):
+    """``value`` as the type of the field's current value ``target``.
+
+    Integers come from ints or integer strings, floats from numbers or
+    numeric strings; a bool is neither, and anything else names the key.
+    """
     if isinstance(target, bool):
         if isinstance(value, bool):
             return value
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
-        raise ConfigError(f"expected true/false, got {value!r}")
-    if isinstance(target, int) and not isinstance(target, bool):
-        return int(value)
-    if isinstance(target, float):
-        return float(value)
+        raise ConfigError(f"{key}: expected true/false, got {value!r}")
+    if isinstance(target, (int, float)):
+        kind = type(target)
+        if isinstance(value, (int, kind)) and not isinstance(value, bool):
+            return kind(value)
+        if isinstance(value, str):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
     return str(value)
 
 
@@ -116,7 +131,7 @@ def apply_flat(cfg: RunConfig, flat: dict) -> RunConfig:
         fname = _FIELD_ALIASES.get(parts[1], parts[1])
         if not any(f.name == fname for f in dataclasses.fields(section)):
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(section, fname, _coerce(value, getattr(section, fname)))
+        setattr(section, fname, _coerce(key, value, getattr(section, fname)))
     return cfg
 
 

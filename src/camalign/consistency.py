@@ -82,7 +82,7 @@ def consistency_loss(text_map: Tensor, visual_map) -> Tensor:
     is read as a constant)."""
     if isinstance(visual_map, Tensor):
         visual_map = visual_map.data
-    target = np.asarray(visual_map, dtype=np.float64)
+    target = np.asarray(visual_map)
     if text_map.shape != target.shape:
         raise ShapeError(f"map lengths differ: {text_map.shape} vs {target.shape}")
     diff = sub(text_map, Tensor(target))

@@ -90,9 +90,6 @@ class Sample:
     report: str
     labels: np.ndarray      # multi-hot over the class list
 
-    def positive_classes(self):
-        return [i for i, y in enumerate(self.labels) if y]
-
 
 def save_dataset(path, samples) -> None:
     with open(path, "w") as fh:
@@ -294,10 +291,10 @@ def generate_synthetic(spec: SyntheticSpec):
     return samples, alignment
 
 
-def split_dataset(samples, ratios=(0.7, 0.1, 0.2), seed: int = 0):
-    """Deterministic shuffled train/val/test split."""
+def split_dataset(samples, seed: int = 0):
+    """Deterministic shuffled train/val/test split, 70/10/20."""
     order = np.random.default_rng(seed).permutation(len(samples))
-    n_train = int(round(ratios[0] * len(samples)))
-    n_val = int(round(ratios[1] * len(samples)))
+    n_train = int(round(0.7 * len(samples)))
+    n_val = int(round(0.1 * len(samples)))
     picks = [order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]]
     return tuple([samples[i] for i in part] for part in picks)

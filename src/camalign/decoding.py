@@ -27,21 +27,21 @@ class Beam:
         return self.log_prob / max(1, len(self.ids))
 
 
-def greedy_decode(step_fn, max_len: int, bos: int = BOS, eos: int = EOS) -> list:
+def greedy_decode(step_fn, max_len: int) -> list:
     if max_len <= 0:
         raise ValueError(f"max_len must be positive, got {max_len}")
-    prefix = [bos]
+    prefix = [BOS]
     out = []
     for _ in range(max_len):
         nxt = int(np.argmax(step_fn([prefix])[0]))     # argmax ties -> lowest id
         out.append(nxt)
-        if nxt == eos:
+        if nxt == EOS:
             break
         prefix.append(nxt)
     return out
 
 
-def beam_search(step_fn, width: int, max_len: int, bos: int = BOS, eos: int = EOS) -> list:
+def beam_search(step_fn, width: int, max_len: int) -> list:
     """Breadth-limited search ranked by length-normalised log-probability.
 
     One step call per position scores every live beam.  EOS finishes a beam,
@@ -56,7 +56,7 @@ def beam_search(step_fn, width: int, max_len: int, bos: int = BOS, eos: int = EO
     for _ in range(max_len):
         live = [b for b in beams if not b.finished]
         candidates = [b for b in beams if b.finished]
-        for beam, logp in zip(live, step_fn([[bos, *b.ids] for b in live])):
+        for beam, logp in zip(live, step_fn([[BOS, *b.ids] for b in live])):
             # Beam.score of every extension; past this beam's own best ``width``
             # an extension cannot reach the top ``width`` overall
             scores = (beam.log_prob + logp) / (len(beam.ids) + 1)
@@ -64,7 +64,7 @@ def beam_search(step_fn, width: int, max_len: int, bos: int = BOS, eos: int = EO
                 candidates.append(Beam(
                     ids=beam.ids + (token,),
                     log_prob=beam.log_prob + float(logp[token]),
-                    finished=token == eos))
+                    finished=token == EOS))
         candidates.sort(key=lambda b: (-b.score, b.ids))
         beams = candidates[:width]
         if all(b.finished for b in beams):

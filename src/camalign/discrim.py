@@ -18,7 +18,7 @@ from .autodiff import ShapeError, Tensor, concat, layer_norm, matmul
 
 def discriminative_representation(visual_map: np.ndarray, tokens: Tensor) -> Tensor:
     """Map-weighted sum of patch features: (..., 1, N) x (..., N, C) -> (..., 1, C)."""
-    visual_map = np.asarray(visual_map, dtype=np.float64)
+    visual_map = np.asarray(visual_map)
     if visual_map.shape != tokens.shape[:-1]:
         raise ShapeError(
             f"visual map shape {visual_map.shape} does not match patch tokens {tokens.shape}")

@@ -2,9 +2,10 @@
 
 BLEU follows the corpus protocol (clipped counts summed before ratios,
 brevity penalty, no smoothing).  ROUGE-L is the LCS F-measure with the
-conventional recall weighting beta = 1.2, maxed over references and averaged
-over samples.  CIDEr is the TF-IDF n-gram cosine with the Gaussian length
-penalty (sigma = 6) and x10 scale of the original scorer.
+conventional recall weighting ``ROUGE_BETA`` = 1.2, maxed over references and
+averaged over samples.  CIDEr is the TF-IDF n-gram cosine over orders 1 to
+``CIDER_MAX_N`` = 4, with the Gaussian length penalty (``CIDER_SIGMA`` = 6) and
+x10 scale of the original scorer.
 """
 from __future__ import annotations
 
@@ -14,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import normalize
+
+ROUGE_BETA = 1.2
+CIDER_MAX_N, CIDER_SIGMA = 4, 6.0
 
 
 @dataclass
@@ -80,7 +84,7 @@ def _lcs_length(a, b) -> int:
     return int(table[len(a), len(b)])
 
 
-def rouge_l(candidates, references, beta: float = 1.2) -> float:
+def rouge_l(candidates, references) -> float:
     """Mean over samples of the best-reference LCS F-measure."""
     _check_corpus(candidates, references)
     scores = []
@@ -96,13 +100,13 @@ def rouge_l(candidates, references, beta: float = 1.2) -> float:
                 continue
             precision = lcs / len(cand_tokens)
             recall = lcs / len(ref_tokens)
-            f = (1 + beta ** 2) * precision * recall / (recall + beta ** 2 * precision)
+            f = (1 + ROUGE_BETA ** 2) * precision * recall / (recall + ROUGE_BETA ** 2 * precision)
             best = max(best, f)
         scores.append(best)
     return float(np.mean(scores))
 
 
-def cider(candidates, references, max_n: int = 4, sigma: float = 6.0) -> float:
+def cider(candidates, references) -> float:
     """TF-IDF weighted n-gram cosine, length-penalised, averaged over orders.
 
     Document frequency counts, per n-gram, the reference sets containing it;
@@ -111,21 +115,21 @@ def cider(candidates, references, max_n: int = 4, sigma: float = 6.0) -> float:
     """
     _check_corpus(candidates, references)
     corpus_size = len(references)
-    doc_freq = [Counter() for _ in range(max_n)]
+    doc_freq = [Counter() for _ in range(CIDER_MAX_N)]
     for refs in references:
-        seen = [set() for _ in range(max_n)]
+        seen = [set() for _ in range(CIDER_MAX_N)]
         for r in refs:
             tokens = normalize(r)
-            for order in range(1, max_n + 1):
+            for order in range(1, CIDER_MAX_N + 1):
                 seen[order - 1].update(ngram_counts(tokens, order))
-        for order in range(max_n):
+        for order in range(CIDER_MAX_N):
             for gram in seen[order]:
                 doc_freq[order][gram] += 1
     log_corpus = np.log(float(corpus_size))
 
     def vectorise(tokens):
         vecs, norms = [], []
-        for order in range(1, max_n + 1):
+        for order in range(1, CIDER_MAX_N + 1):
             counts = ngram_counts(tokens, order)
             vec = {g: c * (log_corpus - np.log(max(1.0, doc_freq[order - 1].get(g, 0.0))))
                    for g, c in counts.items()}
@@ -136,11 +140,11 @@ def cider(candidates, references, max_n: int = 4, sigma: float = 6.0) -> float:
     sample_scores = []
     for cand, refs in zip(candidates, references):
         cand_vecs, cand_norms, cand_len = vectorise(normalize(cand))
-        per_order = np.zeros(max_n)
+        per_order = np.zeros(CIDER_MAX_N)
         for r in refs:
             ref_vecs, ref_norms, ref_len = vectorise(normalize(r))
-            penalty = np.exp(-((cand_len - ref_len) ** 2) / (2.0 * sigma ** 2))
-            for order in range(max_n):
+            penalty = np.exp(-((cand_len - ref_len) ** 2) / (2.0 * CIDER_SIGMA ** 2))
+            for order in range(CIDER_MAX_N):
                 dot = sum(v * ref_vecs[order].get(g, 0.0) for g, v in cand_vecs[order].items())
                 if cand_norms[order] > 0 and ref_norms[order] > 0:
                     per_order[order] += penalty * dot / (cand_norms[order] * ref_norms[order])

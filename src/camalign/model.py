@@ -17,7 +17,7 @@ from . import consistency, discrim, saliency
 from .autodiff import ContractError, Tensor
 from .backbone import (Decoder, DecoderOutput, Encoder, PatchExtractor,
                        PatchFeatures, ones_param, xavier, zeros_param)
-from .config import ModelSection, RunConfig
+from .config import VARIANTS, ModelSection, RunConfig
 from .data import BOS, EOS, PAD, UNK
 from .losses import LossBreakdown, composite_loss, label_bce, report_cross_entropy
 
@@ -41,7 +41,7 @@ class ForwardResult:
 
 class CaptionModel:
     def __init__(self, cfg: ModelSection, vocab: int, variant: str, rng):
-        if variant not in ("base", "vdmae", "full"):
+        if variant not in VARIANTS:
             raise ContractError(f"unknown variant {variant!r}")
         self.cfg = cfg
         self.variant = variant

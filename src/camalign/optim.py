@@ -1,35 +1,11 @@
 """Adam with bias correction and per-group learning rates."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import ShapeError, grad_of
+from .autodiff import ShapeError, grad_of, zero_grads
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-
-
-@dataclass
-class AdamState:
-    """Moment accumulators for one parameter; shapes mirror the parameter."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    lr: float = 1e-3
-
-
-def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One bias-corrected update; returns the new parameter value."""
-    if grad.shape != param.shape or state.m.shape != param.shape:
-        raise ShapeError(f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}")
-    state.step += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
-    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    m_hat = state.m / (1.0 - BETA1 ** state.step)
-    v_hat = state.v / (1.0 - BETA2 ** state.step)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class Adam:
@@ -38,19 +14,28 @@ class Adam:
     groups: list of (params dict name->Tensor, lr).  Parameters are leaf
     tensors; ``step`` rebinds each one's ``.data`` to a new array between
     graph constructions and reads its ``.grad`` without writing into it.
+    ``m`` and ``v`` hold each parameter's moments by name; ``t`` counts the
+    steps taken, one count for every parameter.
     """
 
     def __init__(self, groups: list):
         self.groups = groups
-        self.states = {name: AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data), lr=lr)
-                       for params, lr in groups for name, p in params.items()}
+        self.m = {name: np.zeros_like(p.data) for params, _ in groups for name, p in params.items()}
+        self.v = {name: np.zeros_like(m) for name, m in self.m.items()}
+        self.t = 0
 
     def step(self) -> None:
-        for params, _ in self.groups:
+        self.t += 1
+        debias1, debias2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+        for params, lr in self.groups:
             for name, p in params.items():
-                p.data = adam_step(self.states[name], p.data, grad_of(p))
+                grad = grad_of(p)
+                if grad.shape != p.shape or self.m[name].shape != p.shape:
+                    raise ShapeError(f"adam shape mismatch for {name}: param {p.shape}, "
+                                     f"grad {grad.shape}, moments {self.m[name].shape}")
+                m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * grad
+                v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * grad * grad
+                p.data = p.data - lr * (m / debias1) / (np.sqrt(v / debias2) + EPS)
 
     def zero_grad(self) -> None:
-        for params, _ in self.groups:
-            for p in params.values():
-                p.grad = None
+        zero_grads(p for params, _ in self.groups for p in params.values())

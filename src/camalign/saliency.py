@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, matmul, mean, transpose
+from .autodiff import Tensor, matmul, mean, transpose
 
 PRESENCE_THRESHOLD = 0.5
 
@@ -58,17 +58,6 @@ def normalize_map(raw: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, hi - lo))
 
 
-def aggregate_visual_map(maps) -> np.ndarray:
-    """Elementwise maximum over a non-empty set of equal-shape maps."""
-    maps = list(maps)
-    if not maps:
-        raise ShapeError("cannot aggregate an empty set of maps")
-    shapes = {np.shape(m) for m in maps}
-    if len(shapes) != 1:
-        raise ShapeError(f"maps disagree on shape: {sorted(shapes)}")
-    return np.maximum.reduce([np.asarray(m, dtype=np.float64) for m in maps])
-
-
 @dataclass
 class VisualMapResult:
     visual_map: np.ndarray   # (..., N) in [0, 1]
@@ -91,5 +80,5 @@ def visual_map_from_features(tokens: Tensor, class_head: Tensor) -> VisualMapRes
         classes == np.argmax(result.probs, axis=-1)[..., None])
     # normalised maps are >= 0, so an unchosen class read as 0 never raises the max
     maps = np.where(chosen[..., None], normalize_map(cams), 0.0)
-    visual = aggregate_visual_map(np.moveaxis(maps, -2, 0))
-    return VisualMapResult(visual_map=visual, cams=cams, presence=result.presence, probs=result)
+    return VisualMapResult(visual_map=maps.max(axis=-2), cams=cams,
+                           presence=result.presence, probs=result)

@@ -67,6 +67,14 @@ def test_train_missing_dataset_fails_before_compute(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_with_zero_heads_exits_with_an_error(tmp_path, capsys):
+    code = main(["train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "run"),
+                 "--quiet", "--set", "model.heads=0"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_writes_run_dir(run_dir):
     for name in ("config.json", "vocab.json", "metrics.jsonl", "checkpoint_best.bin"):
         assert (run_dir / name).exists()

@@ -70,3 +70,47 @@ def test_save_echo_roundtrip(tmp_path):
     save_config(cfg, path)
     again = load_config(path)
     assert to_flat(again) == to_flat(cfg)
+
+
+@pytest.mark.parametrize("key", ["model.heads", "model.dim", "model.feat_dim"])
+def test_zero_width_is_a_config_error_not_a_division(key):
+    with pytest.raises(ConfigError, match=key.split(".")[1]):
+        load_config(None, {key: 0})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.dim", 64.7), ("model.dim", 64.0), ("train.epochs", True), ("model.dim", "abc"),
+    ("model.dim", "64.5"), ("model.dim", None), ("train.lr_ed", False), ("train.lr_ed", "fast"),
+    ("vtac.k", [0.3]),
+])
+def test_values_of_the_wrong_type_name_the_key(key, value):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        apply_flat(RunConfig(), {key: value})
+
+
+def test_config_file_with_a_fractional_int_is_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model.dim": 64.7}))
+    with pytest.raises(ConfigError, match="model.dim"):
+        load_config(path)
+
+
+def test_numbers_and_numeric_strings_are_accepted():
+    cfg = apply_flat(RunConfig(), {"model.dim": "64", "train.epochs": 3,
+                                   "train.lr_ed": 1, "train.lr_ve": "1e-4"})
+    assert (cfg.model.dim, cfg.train.epochs) == (64, 3)
+    assert cfg.train.lr_ed == 1.0 and isinstance(cfg.train.lr_ed, float)
+    assert cfg.train.lr_ve == 1e-4
+
+
+@pytest.mark.parametrize("key", ["train.lr_ve", "train.lr_ed", "train.lambda", "train.delta"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_learning_rates_and_loss_weights_must_be_finite_and_non_negative(key, value):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(None, {key: value})
+
+
+def test_zero_and_huge_rates_and_weights_stay_legal():
+    cfg = load_config(None, {"train.lr_ve": 0, "train.lr_ed": 0, "train.lambda": 1e308,
+                             "train.delta": 0})
+    assert cfg.train.lambda_ == 1e308 and cfg.train.lr_ed == 0.0

@@ -130,7 +130,7 @@ def test_report_names_exactly_the_positive_classes():
     for s in samples:
         mentioned = {w for w in normalize(s.report) if w in spec.classes}
         # the negative sentence names one absent glyph
-        positives = {spec.classes[i] for i in s.positive_classes()}
+        positives = {spec.classes[i] for i in np.flatnonzero(s.labels)}
         negatives = mentioned - positives
         assert positives <= mentioned
         assert len(negatives) == 1

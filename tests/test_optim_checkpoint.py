@@ -5,48 +5,82 @@ import pytest
 
 from camalign.autodiff import ShapeError, Tensor, backward, tsum
 from camalign.checkpoint import CheckpointError, load_params, save_params
-from camalign.optim import Adam, AdamState, adam_step
+from camalign.optim import BETA1, BETA2, EPS, Adam
 
 
-def make_state(shape, lr=0.1):
-    return AdamState(m=np.zeros(shape), v=np.zeros(shape), lr=lr)
+def one_tensor(value, lr=0.1):
+    """An optimiser over one parameter, and the parameter."""
+    p = Tensor(np.asarray(value, dtype=float), requires_grad=True)
+    return Adam([({"p": p}, lr)]), p
+
+
+def step_with(opt, p, grad):
+    p.grad = np.asarray(grad, dtype=float)
+    opt.step()
+    return p.data
 
 
 def test_zero_gradient_first_step_is_noop():
-    state = make_state(())
-    theta = np.array(1.5)
-    assert adam_step(state, theta, np.array(0.0)) == pytest.approx(1.5, abs=0)
-    assert state.step == 1
+    opt, p = one_tensor(1.5)
+    assert step_with(opt, p, 0.0) == pytest.approx(1.5, abs=0)
+    assert opt.t == 1
 
 
 def test_first_step_magnitude_matches_closed_form():
     # bias-corrected moments both equal g at t=1, so the move is -lr*g/(|g|+eps)
-    state = make_state(())
-    new = adam_step(state, np.array(0.0), np.array(1.0))
-    assert new == pytest.approx(-0.1, rel=1e-6)
+    opt, p = one_tensor(0.0)
+    assert step_with(opt, p, 1.0) == pytest.approx(-0.1, rel=1e-6)
 
 
 def test_constant_gradient_moves_monotonically():
-    state = make_state(())
-    theta = np.array(0.0)
-    previous = theta
+    opt, p = one_tensor(0.0)
+    previous = p.data
     for _ in range(2):
-        theta = adam_step(state, theta, np.array(1.0))
+        theta = step_with(opt, p, 1.0)
         assert theta < previous
         previous = theta
-    assert state.step == 2
+    assert opt.t == 2
 
 
 def test_step_counter_increments_by_one():
-    state = make_state((2,))
+    opt, p = one_tensor(np.zeros(2))
     for expected in range(1, 4):
-        adam_step(state, np.zeros(2), np.zeros(2))
-        assert state.step == expected
+        step_with(opt, p, np.zeros(2))
+        assert opt.t == expected
 
 
 def test_shape_mismatch_rejected():
+    opt, p = one_tensor(np.zeros(2))
+    p.data = np.zeros(3)   # rebound to a shape its moments do not have
     with pytest.raises(ShapeError):
-        adam_step(make_state((2,)), np.zeros(2), np.zeros(3))
+        step_with(opt, p, np.zeros(3))
+
+
+def test_matches_a_per_parameter_reference_bit_for_bit(rng):
+    """One shared step count gives the same bits as a step count per parameter."""
+    def reference_step(state, param, grad):
+        state["step"] += 1
+        state["m"] = BETA1 * state["m"] + (1.0 - BETA1) * grad
+        state["v"] = BETA2 * state["v"] + (1.0 - BETA2) * grad * grad
+        m_hat = state["m"] / (1.0 - BETA1 ** state["step"])
+        v_hat = state["v"] / (1.0 - BETA2 ** state["step"])
+        return param - state["lr"] * m_hat / (np.sqrt(v_hat) + EPS)
+
+    shapes = {"a": (3, 2), "b": (4,), "c": ()}
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+    opt = Adam([({"a": params["a"]}, 1e-3), ({"b": params["b"], "c": params["c"]}, 2e-3)])
+    lrs = {"a": 1e-3, "b": 2e-3, "c": 2e-3}
+    ref = {n: p.data.copy() for n, p in params.items()}
+    states = {n: {"m": np.zeros(s), "v": np.zeros(s), "step": 0, "lr": lrs[n]}
+              for n, s in shapes.items()}
+    for _ in range(20):
+        for n, p in params.items():
+            grad = rng.normal(size=shapes[n])
+            p.grad = grad
+            ref[n] = reference_step(states[n], ref[n], grad)
+        opt.step()
+        for n, p in params.items():
+            assert np.array_equal(p.data, ref[n]), n
 
 
 def test_optimizer_zero_lr_changes_nothing(rng):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from camalign.autodiff import Tensor, backward
-from camalign.saliency import (aggregate_visual_map, class_activation_map,
-                               classify_global, normalize_map,
+from camalign.saliency import (class_activation_map, classify_global, normalize_map,
                                visual_map_from_features)
 
 
@@ -81,23 +80,6 @@ def test_normalize_map_idempotent_on_normalized(rng):
         assert np.allclose(normalize_map(m), m, atol=1e-12)
 
 
-def test_aggregate_elementwise_max():
-    out = aggregate_visual_map([np.array([0.2, 0.8]), np.array([0.5, 0.1])])
-    assert np.allclose(out, [0.5, 0.8])
-
-
-def test_aggregate_single_map_unchanged(rng):
-    m = rng.random(7)
-    assert np.array_equal(aggregate_visual_map([m]), m)
-
-
-def test_aggregate_monotone_in_set(rng):
-    maps = [rng.random(6) for _ in range(3)]
-    smaller = aggregate_visual_map(maps[:2])
-    larger = aggregate_visual_map(maps)
-    assert (larger >= smaller - 1e-15).all()
-
-
 def test_fallback_uses_argmax_probability_class(rng):
     # tiny weights keep every probability near 0.5 from below or above;
     # scale head so probabilities all land at or below 0.5
@@ -108,6 +90,21 @@ def test_fallback_uses_argmax_probability_class(rng):
     if result.presence.sum() == 0:
         best = int(np.argmax(result.probs.probs))
         assert np.allclose(result.visual_map, normalize_map(result.cams[best]))
+
+
+def test_visual_map_is_max_of_chosen_normalised_cams(rng):
+    """Per sample: the elementwise max of the chosen classes' normalised CAMs."""
+    for _ in range(10):
+        feats = rng.normal(size=(2, 8, 4))
+        head = rng.normal(size=(5, 4))
+        result = visual_map_from_features(Tensor(feats), Tensor(head))
+        for b in range(2):
+            chosen = np.flatnonzero(result.presence[b])
+            if chosen.size == 0:
+                chosen = [int(np.argmax(result.probs.probs[b]))]
+            expected = np.max([normalize_map(class_activation_map(feats[b], head, c))
+                               for c in chosen], axis=0)
+            assert np.allclose(result.visual_map[b], expected, rtol=0, atol=1e-12)
 
 
 def test_visual_map_in_unit_interval(rng):
