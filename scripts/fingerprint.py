@@ -15,10 +15,12 @@ beam-3 candidates joined by newlines.
 
 ``--against DIR`` names an earlier ``--out`` directory.  For each variant it
 then also prints the largest absolute difference of any numeric
-``metrics.jsonl`` field and whether the beam-3 candidates are identical, so
-a change that only moves rounding shows how far it moved.  The exit code is
-then 1 when any variant's beam-3 candidates differ or its metrics log differs
-in records, fields or text (drift ``inf``).
+``metrics.jsonl`` field, whether the beam-3 candidates are identical, and
+whether each checkpoint's bytes equal the earlier run's, so a change that
+only moves rounding shows how far it moved.  The exit code is then 1 when
+any variant's beam-3 candidates differ or its metrics log differs in
+records, fields or text (drift ``inf``); differing checkpoint bytes alone
+do not fail it, since a rounding-only change moves them.
 """
 import argparse
 import hashlib
@@ -36,6 +38,7 @@ PROFILE = {"model.layers": 2, "model.heads": 4, "model.dim": 64,
            "decode.max_len": 24, "train.seed": 5, "train.batch": 8,
            "train.epochs": 2, "train.patience": 2, "train.delta": 0.5, "vtac.k": 0.3}
 N_TRAIN, N_VAL, N_HELD = 140, 20, 8
+CHECKPOINTS = ("checkpoint_best.bin", "checkpoint_last.bin")
 # variant, views, most glyphs per image
 RUNS = (("full", 1, 2), ("vdmae", 1, 2), ("base", 2, 3))
 
@@ -75,14 +78,17 @@ def main() -> int:
         beams = "\n".join(generate_report(result.model, s, result.vocab, 3, cfg.decode.max_len)
                           for s in samples[N_TRAIN + N_VAL:])
         (run_dir / "beam3.txt").write_text(beams)
-        hashes = [digest((run_dir / name).read_bytes())
-                  for name in ("metrics.jsonl", "checkpoint_best.bin", "checkpoint_last.bin")]
+        hashes = [digest((run_dir / name).read_bytes()) for name in ("metrics.jsonl", *CHECKPOINTS)]
         print(variant, *hashes, digest(beams.encode()))
         if args.against:
             old = args.against / variant
             drift = metric_drift(run_dir / "metrics.jsonl", old / "metrics.jsonl")
             same = (old / "beam3.txt").read_text() == beams
-            print(f"  metric drift {drift:.3g}; beam-3 candidates {'identical' if same else 'DIFFER'}")
+            bytes_same = ", ".join(
+                f"{name} {'identical' if (old / name).read_bytes() == (run_dir / name).read_bytes() else 'DIFFER'}"
+                for name in CHECKPOINTS)
+            print(f"  metric drift {drift:.3g}; beam-3 candidates {'identical' if same else 'DIFFER'}; "
+                  f"{bytes_same}")
             if not same or math.isinf(drift):
                 status = 1
     return status

@@ -39,14 +39,6 @@ def sinusoid_positions(n: int, dim: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-@dataclass
-class PatchFeatures:
-    """Visual token sequence with per-image segment lengths."""
-
-    tokens: Tensor               # (..., sum of segments, C)
-    segments: list               # token count per image
-
-
 def _blockify(x: Tensor, lead: tuple, side: int, block: int) -> Tensor:
     """Cut grids into ``block x block`` cells: (..., C) -> (*lead[:-1], views * cells, block*block*C).
 
@@ -85,7 +77,7 @@ class PatchExtractor:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
-    def __call__(self, images) -> PatchFeatures:
+    def __call__(self, images) -> Tensor:
         """Extract every view of (..., views, G, G) grids; tokens (..., views * cells, C), view-major."""
         grids = np.asarray(images, dtype=np.float64)
         if grids.ndim < 3 or grids.shape[-1] != grids.shape[-2]:
@@ -96,8 +88,7 @@ class PatchExtractor:
         x = _blockify(Tensor(grids[..., None]), lead, side, self.p1)
         x = relu(add(matmul(x, self.w1), self.b1))
         x = _blockify(x, lead, side // self.p1, self.p2)
-        tokens = add(matmul(x, self.w2), self.b2)
-        return PatchFeatures(tokens=tokens, segments=[tokens.shape[-2] // lead[-1]] * lead[-1])
+        return add(matmul(x, self.w2), self.b2)
 
 
 class MultiHeadAttention:
@@ -185,8 +176,8 @@ class EncoderBlock:
 class Encoder:
     """Input projection C -> D, position encodings, then self-attention blocks.
 
-    Position indices restart per image segment; an injected leading token
-    (a summary, not a spatial location) receives no position encoding.
+    Position indices restart per view; an injected leading token (a
+    summary, not a spatial location) receives no position encoding.
     """
 
     def __init__(self, cfg: ModelSection, rng):
@@ -201,19 +192,18 @@ class Encoder:
             out.update(block.params(f"{prefix}.block{i}"))
         return out
 
-    def position_table(self, segments, leading_tokens: int) -> np.ndarray:
-        rows = [np.zeros((leading_tokens, self.cfg.dim))]
-        rows += [sinusoid_positions(n, self.cfg.dim) for n in segments]
-        return np.concatenate(rows, axis=0)
+    def position_table(self, tokens: int, views: int, leading_tokens: int) -> np.ndarray:
+        """Zero rows for the leading tokens, then one sinusoid table per view of the rest."""
+        per_view = sinusoid_positions((tokens - leading_tokens) // views, self.cfg.dim)
+        return np.concatenate([np.zeros((leading_tokens, self.cfg.dim)), *[per_view] * views])
 
-    def __call__(self, tokens: Tensor, segments=None, leading_tokens: int = 0) -> Tensor:
-        """(..., tokens, C) -> (..., tokens, D); every sample of a batch has ``segments``."""
+    def __call__(self, tokens: Tensor, views: int = 1, leading_tokens: int = 0) -> Tensor:
+        """(..., tokens, C) -> (..., tokens, D); after the leading tokens, ``views`` equal runs."""
         if tokens.shape[-2] < 1:
             raise ShapeError("encoder needs at least one token")
-        segments = segments or [tokens.shape[-2] - leading_tokens]
         x = add(matmul(tokens, self.proj_w), self.proj_b)
         if self.cfg.pos_enc:
-            x = add(x, Tensor(self.position_table(segments, leading_tokens)))
+            x = add(x, Tensor(self.position_table(tokens.shape[-2], views, leading_tokens)))
         for block in self.blocks:
             x = block(x)
         return x

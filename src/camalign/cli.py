@@ -52,6 +52,8 @@ def _load_cfg(args) -> RunConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.glyphs > len(GLYPH_NAMES):
+        raise DataError(f"--glyphs {args.glyphs} exceeds the catalogue of {len(GLYPH_NAMES)} glyphs")
     spec = SyntheticSpec(
         grid=args.grid, patches=args.patches,
         classes=tuple(GLYPH_NAMES[: args.glyphs]),
@@ -125,18 +127,32 @@ def _put_once(table: dict, where: str, key, value) -> None:
     table[key] = value
 
 
+def _text(where: str, record: dict, key: str) -> str:
+    value = require_field(where, record, key)
+    if not isinstance(value, str):
+        raise DataError(f"{where}: field {key!r} must be a string")
+    return value
+
+
+def _reference_list(where: str, record: dict) -> list:
+    refs = require_field(where, record, "references")
+    if not (isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
+        raise DataError(f"{where}: field 'references' must be a list of strings")
+    return refs
+
+
 def cmd_evaluate(args) -> int:
     candidates, references = {}, {}
     for where, record in read_jsonl(args.candidates):
-        candidate = require_field(where, record, "candidate")
+        candidate = _text(where, record, "candidate")
         _put_once(candidates, where, require_field(where, record, "id"), candidate)
         if not args.references:
-            refs = require_field(where, record, "references")
-            references[record["id"]] = [x.lower() for x in refs]
+            references[record["id"]] = _reference_list(where, record)
     if args.references:
         for where, record in read_jsonl(args.references):
-            refs = record.get("references") or [require_field(where, record, "report")]
-            _put_once(references, where, require_field(where, record, "id"), [r.lower() for r in refs])
+            refs = (_reference_list(where, record) if record.get("references")
+                    else [_text(where, record, "report")])
+            _put_once(references, where, require_field(where, record, "id"), refs)
         missing = sorted(set(candidates) ^ set(references))
         if missing:
             raise DataError(f"candidate/reference id mismatch: {missing}")
@@ -153,7 +169,8 @@ def cmd_evaluate(args) -> int:
 # -- inspect-maps ---------------------------------------------------------------------
 
 
-def _write_grid_csv(path: Path, flat: np.ndarray, side: int):
+def _write_grid_csv(path: Path, flat: np.ndarray):
+    side = int(round(np.sqrt(len(flat))))
     np.savetxt(path, np.asarray(flat).reshape(side, side), delimiter=",", fmt="%.8g")
 
 
@@ -174,8 +191,6 @@ def cmd_inspect_maps(args) -> int:
     meta = {"id": sample.id, "variant": model.variant, "classes": classes,
             "loss_terms": result.breakdown.as_dict()}
 
-    segments = result.features.segments
-    starts = np.cumsum([0] + segments)
     if model.variant == "base":
         (out / "note.txt").write_text(
             "visual/textual map dumps need the classification head; "
@@ -183,16 +198,15 @@ def cmd_inspect_maps(args) -> int:
     else:
         meta["presence"] = [int(v) for v in result.presence]
         meta["probabilities"] = [float(v) for v in result.probs]
-        for seg, (start, stop) in enumerate(zip(starts[:-1], starts[1:])):
-            side = int(round(np.sqrt(stop - start)))
-            _write_grid_csv(out / f"vdm_seg{seg}.csv", result.visual_map[start:stop], side)
-            for ci, cname in enumerate(classes):
-                _write_grid_csv(out / f"cam_{cname}_seg{seg}.csv",
-                                normalize_map(result.cams[ci])[start:stop], side)
+        views = len(sample.images)
+        for seg, grid in enumerate(np.split(result.visual_map, views)):
+            _write_grid_csv(out / f"vdm_seg{seg}.csv", grid)
+        for ci, cname in enumerate(classes):
+            for seg, grid in enumerate(np.split(normalize_map(result.cams[ci]), views)):
+                _write_grid_csv(out / f"cam_{cname}_seg{seg}.csv", grid)
         if model.variant == "full" and result.text_map is not None:
-            for seg, (start, stop) in enumerate(zip(starts[:-1], starts[1:])):
-                side = int(round(np.sqrt(stop - start)))
-                _write_grid_csv(out / f"tdm_seg{seg}.csv", result.text_map.data[start:stop], side)
+            for seg, grid in enumerate(np.split(result.text_map.data, views)):
+                _write_grid_csv(out / f"tdm_seg{seg}.csv", grid)
             prefix = ids[:-1]
             attn = result.decoder.cross_final_avg.data
             seen, words = set(), []
@@ -203,7 +217,7 @@ def cmd_inspect_maps(args) -> int:
                 if word not in seen:
                     seen.add(word)
                     words.append({"word": word, "position": int(j),
-                                  "weight": float(max(0.0, result.sims.values.data[int(j)]))})
+                                  "weight": float(max(0.0, result.sims.data[int(j)]))})
             np.savetxt(out / "word_attention.csv", np.stack(rows), delimiter=",", fmt="%.8g")
             (out / "selected_words.json").write_text(json.dumps(words, indent=2))
         elif model.variant == "vdmae":

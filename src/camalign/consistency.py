@@ -10,35 +10,23 @@ loss.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import (ContractError, ShapeError, Tensor, add, cosine, div, mul, relu,
                        sub, tmax, tmin, tsum)
 
-MASKED_SENTINEL = -np.inf
-
-
-@dataclass
-class WordSimilarities:
-    values: Tensor           # (..., T) cosine similarity per word position
-    masked: np.ndarray       # (..., T) values with -inf at special-token positions
-
-
-def word_similarities(embeddings: Tensor, summary: Tensor, content_mask) -> WordSimilarities:
-    """Cosine similarity of each word embedding to the summary vector.
+def word_similarities(embeddings: Tensor, summary: Tensor) -> Tensor:
+    """Cosine similarity of each word embedding to the summary vector, (..., T).
 
     A zero embedding or summary gets similarity 0 and exactly zero gradient.
-    Positions off ``content_mask`` carry a -inf sentinel in the ``masked`` view.
     """
-    values = cosine(embeddings, summary)
-    masked = np.where(np.asarray(content_mask, dtype=bool), values.data, MASKED_SENTINEL)
-    return WordSimilarities(values=values, masked=masked)
+    return cosine(embeddings, summary)
 
 
-def select_important_words(sims: WordSimilarities, k: float) -> np.ndarray:
+def select_important_words(sims: Tensor, content, k: float) -> np.ndarray:
     """Indices of each row's top ceil(k * content count) words; ties keep lower index.
+
+    Only positions on the ``content`` mask (same shape as ``sims``) compete.
 
     A batch of rows (B, T) gives (B, most selected): a row that selects fewer
     repeats its first pick, which changes neither the textual map's max nor
@@ -48,16 +36,18 @@ def select_important_words(sims: WordSimilarities, k: float) -> np.ndarray:
     """
     if not 0.0 < k <= 1.0:
         raise ContractError(f"selection fraction k must lie in (0, 1], got {k}")
-    content = np.isfinite(sims.masked).sum(axis=-1)
-    if not content.any():
+    content = np.asarray(content, dtype=bool)
+    count = content.sum(axis=-1)
+    if not count.any():
         raise ContractError("no unmasked words to select from")
-    gamma = np.ceil(k * content).astype(np.int64)
-    order = np.argsort(-sims.masked, axis=-1, kind="stable")     # stable: lower index wins ties
+    gamma = np.ceil(k * count).astype(np.int64)
+    # masked positions sort last; stable: lower index wins ties
+    order = np.argsort(np.where(content, -sims.data, np.inf), axis=-1, kind="stable")
     order = order[..., :gamma.max()]
     return np.where(np.arange(gamma.max()) < gamma[..., None], order, order[..., :1])
 
 
-def textual_map(attention: Tensor, sims: WordSimilarities, selected: np.ndarray) -> Tensor:
+def textual_map(attention: Tensor, sims: Tensor, selected: np.ndarray) -> Tensor:
     """Weighted max-pool of the selected words' normalised attention rows.
 
     Each selected row is ReLU'd and min-max normalised (a row that is
@@ -72,7 +62,7 @@ def textual_map(attention: Tensor, sims: WordSimilarities, selected: np.ndarray)
     lo, hi = tmin(active, axis=-1, keepdims=True), tmax(active, axis=-1, keepdims=True)
     flat = hi.data == lo.data                                           # (..., gamma, 1)
     normd = mul(div(sub(active, lo), add(sub(hi, lo), flat)), ~flat)
-    weights = relu(sims.values[tuple(r[..., None] for r in rows)])      # (..., gamma, 1)
+    weights = relu(sims[tuple(r[..., None] for r in rows)])             # (..., gamma, 1)
     return tmax(mul(normd, weights), axis=-2)
 
 

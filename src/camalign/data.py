@@ -129,10 +129,14 @@ def require_field(where: str, record: dict, key: str):
 
 
 def load_dataset(path, expected_classes: int = None) -> list:
-    samples = []
+    samples, seen = [], set()
     for where, record in read_jsonl(path):
         for key in ("id", "images", "report", "labels"):
             require_field(where, record, key)
+        sample_id = str(record["id"])
+        if sample_id in seen:
+            raise DataError(f"{where}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
         labels = record["labels"]
         if not isinstance(labels, list) or any(v not in (0, 1) for v in labels):
             raise DataError(f"{where}: labels must be a list of 0/1 values, got {labels!r}")
@@ -148,11 +152,14 @@ def load_dataset(path, expected_classes: int = None) -> list:
             side = int(round(len(flat) ** 0.5))
             if side * side != len(flat):
                 raise DataError(f"{where}: image is not a square grid ({len(flat)} values)")
-            images.append(np.asarray(flat, dtype=np.float64).reshape(side, side))
+            image = np.asarray(flat, dtype=np.float64).reshape(side, side)
+            if not np.isfinite(image).all():
+                raise DataError(f"{where}: image holds a non-finite pixel")
+            images.append(image)
         if len({img.shape for img in images}) > 1:
             raise DataError(f"{where}: image grids of one sample must share one side")
         samples.append(Sample(
-            id=str(record["id"]), images=images,
+            id=sample_id, images=images,
             report=str(record["report"]),
             labels=np.asarray(labels, dtype=np.int64)))
     return samples

@@ -9,8 +9,6 @@ visual map length.  Tokens may carry a leading batch axis, (..., N, C).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, concat, layer_norm, matmul
@@ -36,18 +34,12 @@ def inject_token(summary: Tensor, tokens: Tensor) -> Tensor:
     return concat([summary, tokens], axis=-2)
 
 
-@dataclass
-class SplitMemory:
-    summary: Tensor          # encoded discriminative token, (..., 1, D)
-    memory: Tensor           # remaining visual tokens, (..., N, D)
-
-
-def split_memory(encoded: Tensor) -> SplitMemory:
-    """Row 0 becomes the summary; the rest is decoder memory.
+def split_memory(encoded: Tensor) -> tuple:
+    """(summary (..., 1, D), memory (..., N, D)): row 0, then the decoder's rows.
 
     The slice severs the graph between the two halves: nothing downstream of
     ``memory`` can route gradient into ``summary``.
     """
     if encoded.shape[-2] < 2:
         raise ShapeError(f"need the summary plus at least one visual token, got {encoded.shape}")
-    return SplitMemory(summary=encoded[..., 0:1, :], memory=encoded[..., 1:, :])
+    return encoded[..., 0:1, :], encoded[..., 1:, :]

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import consistency, discrim, saliency
 from .autodiff import ContractError, Tensor
-from .backbone import (Decoder, DecoderOutput, Encoder, PatchExtractor,
-                       PatchFeatures, ones_param, xavier, zeros_param)
+from .backbone import (Decoder, DecoderOutput, Encoder, PatchExtractor, ones_param,
+                       xavier, zeros_param)
 from .config import VARIANTS, ModelSection, RunConfig
 from .data import BOS, EOS, PAD, UNK
 from .losses import LossBreakdown, composite_loss, label_bce, report_cross_entropy
@@ -27,14 +27,13 @@ class ForwardResult:
     decoder: DecoderOutput
     breakdown: LossBreakdown         # a list of them for a batch
     total: Tensor                    # per sample: scalar, or (B,) for a batch
-    features: PatchFeatures
     memory: Tensor
     summary: Tensor = None           # encoded discriminative token (vdmae/full)
     visual_map: np.ndarray = None
     cams: np.ndarray = None
     presence: np.ndarray = None
     probs: np.ndarray = None
-    sims: "consistency.WordSimilarities" = None
+    sims: Tensor = None              # (..., T) word-to-summary cosine similarities
     selected: np.ndarray = None
     text_map: Tensor = None
 
@@ -91,24 +90,22 @@ class CaptionModel:
     def encode_images(self, images, pinned_map: np.ndarray = None):
         """Extract, build the visual map (non-base), inject, encode, split.
 
-        Returns (memory, summary, VisualMapResult-or-None, features).
+        Returns (memory, summary, VisualMapResult-or-None).
         ``images`` is one sample's list of views, or a (B, views, G, G) batch.
         ``pinned_map`` overrides the computed visual map; finite-difference
         checks use it to hold the constant target fixed.
         """
-        features = self.extractor(images)
+        tokens, views = self.extractor(images), np.shape(images)[-3]
         if self.variant == "base":
-            memory = self.encoder(features.tokens, segments=features.segments)
-            return memory, None, None, features
-        map_result = saliency.visual_map_from_features(features.tokens, self.class_head)
-        visual = pinned_map if pinned_map is not None else map_result.visual_map
-        rep = discrim.discriminative_representation(visual, features.tokens)
+            return self.encoder(tokens, views=views), None, None
+        map_result = saliency.visual_map_from_features(tokens, self.class_head)
+        if pinned_map is not None:
+            map_result.visual_map = pinned_map
+        rep = discrim.discriminative_representation(map_result.visual_map, tokens)
         rep = discrim.normalize_representation(rep, self.summary_gain, self.summary_bias)
-        injected = discrim.inject_token(rep, features.tokens)
-        encoded = self.encoder(injected, segments=features.segments, leading_tokens=1)
-        parts = discrim.split_memory(encoded)
-        map_result.visual_map = visual
-        return parts.memory, parts.summary, map_result, features
+        injected = discrim.inject_token(rep, tokens)
+        summary, memory = discrim.split_memory(self.encoder(injected, views=views, leading_tokens=1))
+        return memory, summary, map_result
 
     # -- training forward ---------------------------------------------------
 
@@ -124,7 +121,7 @@ class CaptionModel:
         ids = np.asarray(report_ids, dtype=np.int64)
         if ids.shape[-1] < 2:
             raise ContractError("report must contain at least BOS and EOS")
-        memory, summary, map_result, features = self.encode_images(images, pinned_map)
+        memory, summary, map_result = self.encode_images(images, pinned_map)
         prefix, targets = ids[..., :-1], ids[..., 1:]
         out = self.decoder(prefix, memory)
         ce = report_cross_entropy(out.log_probs, targets)
@@ -132,15 +129,14 @@ class CaptionModel:
         bce = mse = None
         visual = cams = presence = probs = sims = selected = text_map = None
         if self.variant != "base":
-            probs = map_result.probs.probs
-            presence, cams, visual = map_result.presence, map_result.cams, map_result.visual_map
+            probs, presence = map_result.probs.probs, map_result.probs.presence
+            cams, visual = map_result.cams, map_result.visual_map
             bce = label_bce(map_result.probs.logits, labels)
         if self.variant == "full":
             content = ~np.isin(prefix, (PAD, BOS, EOS, UNK))
             if content.any():
-                sims = consistency.word_similarities(
-                    self.decoder.embed_words(prefix), summary, content)
-                selected = consistency.select_important_words(sims, k)
+                sims = consistency.word_similarities(self.decoder.embed_words(prefix), summary)
+                selected = consistency.select_important_words(sims, content, k)
                 text_map = consistency.textual_map(out.cross_final_avg, sims, selected)
                 mse = consistency.consistency_loss(text_map, visual)
                 has_words = content.any(axis=-1)
@@ -150,17 +146,15 @@ class CaptionModel:
 
         total, breakdown = composite_loss(ce, bce, mse, lam, delta)
         return ForwardResult(
-            decoder=out, breakdown=breakdown, total=total, features=features,
-            memory=memory, summary=summary, visual_map=visual, cams=cams,
-            presence=presence, probs=probs, sims=sims, selected=selected,
-            text_map=text_map)
+            decoder=out, breakdown=breakdown, total=total, memory=memory, summary=summary,
+            visual_map=visual, cams=cams, presence=presence, probs=probs, sims=sims,
+            selected=selected, text_map=text_map)
 
     # -- generation ---------------------------------------------------------
 
     def step_fn(self, images):
         """Next-token log-probability closure over a frozen encoding."""
-        memory, _, _, _ = self.encode_images(images)
-        return self.decoder.step_fn(memory.data)
+        return self.decoder.step_fn(self.encode_images(images)[0].data)
 
 
 def build_model(cfg: RunConfig, vocab_size: int, rng) -> CaptionModel:

@@ -62,7 +62,6 @@ def normalize_map(raw: np.ndarray) -> np.ndarray:
 class VisualMapResult:
     visual_map: np.ndarray   # (..., N) in [0, 1]
     cams: np.ndarray         # (..., classes, N) raw per-class maps
-    presence: np.ndarray
     probs: ClassProbabilities
 
 
@@ -80,5 +79,4 @@ def visual_map_from_features(tokens: Tensor, class_head: Tensor) -> VisualMapRes
         classes == np.argmax(result.probs, axis=-1)[..., None])
     # normalised maps are >= 0, so an unchosen class read as 0 never raises the max
     maps = np.where(chosen[..., None], normalize_map(cams), 0.0)
-    return VisualMapResult(visual_map=maps.max(axis=-2), cams=cams,
-                           presence=result.presence, probs=result)
+    return VisualMapResult(visual_map=maps.max(axis=-2), cams=cams, probs=result)

@@ -118,7 +118,7 @@ def evaluate_split(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig,
         for b in sample_losses(model, samples[start:start + cfg.train.batch], vocab, cfg)[0]:
             terms += (b.ce, b.bce, b.mse)
     candidates = [generate_report(model, s, vocab, beam, cfg.decode.max_len) for s in samples]
-    references = [[s.report.lower()] for s in samples]
+    references = [[s.report] for s in samples]
     terms /= max(1, len(samples))
     breakdown = LossBreakdown(ce=terms[0], bce=terms[1], mse=terms[2],
                               lam=cfg.train.lambda_, delta=cfg.train.delta)

@@ -28,9 +28,7 @@ def cfg():
 def test_extractor_produces_7x7_tokens_from_28_grid(rng):
     cfg = micro_cfg(patch=4, feat_dim=6)
     extractor = PatchExtractor(cfg, rng)
-    feats = extractor([rng.random((28, 28))])
-    assert feats.tokens.shape == (49, 6)
-    assert feats.segments == [49]
+    assert extractor([rng.random((28, 28))]).shape == (49, 6)
 
 
 def test_extractor_zero_image_zero_bias_gives_zero_tokens(rng):
@@ -38,16 +36,14 @@ def test_extractor_zero_image_zero_bias_gives_zero_tokens(rng):
     extractor = PatchExtractor(cfg, rng)
     extractor.b1.data[:] = 0.0
     extractor.b2.data[:] = 0.0
-    feats = extractor([np.zeros((8, 8))])
-    assert np.array_equal(feats.tokens.data, np.zeros((4, 6)))
+    tokens = extractor([np.zeros((8, 8))])
+    assert np.array_equal(tokens.data, np.zeros((4, 6)))
 
 
 def test_extractor_two_views_concatenate(rng):
     cfg = micro_cfg()
     extractor = PatchExtractor(cfg, rng)
-    feats = extractor([rng.random((28, 28)), rng.random((28, 28))])
-    assert feats.tokens.shape == (98, 6)
-    assert feats.segments == [49, 49]
+    assert extractor([rng.random((28, 28)), rng.random((28, 28))]).shape == (98, 6)
 
 
 def test_extractor_rejects_indivisible_grid(rng):
@@ -59,15 +55,14 @@ def test_extractor_rejects_indivisible_grid(rng):
 def test_extractor_deterministic_given_parameters(rng):
     extractor = PatchExtractor(micro_cfg(), rng)
     image = rng.random((8, 8))
-    a = extractor([image]).tokens.data
-    b = extractor([image]).tokens.data
+    a = extractor([image]).data
+    b = extractor([image]).data
     assert np.array_equal(a, b)
 
 
 def test_extractor_odd_patch_supported(rng):
     extractor = PatchExtractor(micro_cfg(patch=3), rng)
-    feats = extractor([rng.random((9, 9))])
-    assert feats.tokens.shape == (9, 6)
+    assert extractor([rng.random((9, 9))]).shape == (9, 6)
 
 
 # -- attention ---------------------------------------------------------------------
@@ -163,9 +158,7 @@ def test_softmax_logit_closed_form_on_scores():
 def test_encoder_preserves_length(cfg, rng):
     enc = Encoder(cfg, rng)
     for n in (4, 5):
-        out = enc(Tensor(rng.normal(size=(n, cfg.feat_dim))),
-                  segments=[4] if n == 4 else [4],
-                  leading_tokens=n - 4)
+        out = enc(Tensor(rng.normal(size=(n, cfg.feat_dim))), leading_tokens=n - 4)
         assert out.shape == (n, cfg.dim)
 
 
@@ -193,11 +186,12 @@ def test_encoder_rejects_empty_sequence(cfg, rng):
         Encoder(cfg, rng)(Tensor(np.zeros((0, cfg.feat_dim))))
 
 
-def test_position_table_restarts_per_segment(cfg, rng):
+def test_position_table_restarts_per_view(cfg, rng):
     enc = Encoder(cfg, rng)
-    table = enc.position_table([3, 3], leading_tokens=1)
+    table = enc.position_table(7, views=2, leading_tokens=1)
     assert table.shape == (7, cfg.dim)
     assert np.array_equal(table[0], np.zeros(cfg.dim))      # injected token: no position
+    assert np.array_equal(table[1:4], sinusoid_positions(3, cfg.dim))
     assert np.array_equal(table[1:4], table[4:7])            # per-view restart
 
 
@@ -274,8 +268,7 @@ def test_backbone_gradient_check_micro(rng):
     weight = Tensor(rng.normal(size=(3, VOCAB)))
 
     def build_loss():
-        feats = extractor([image])
-        memory = enc(feats.tokens, segments=feats.segments)
+        memory = enc(extractor([image]))
         out = dec([1, 5, 6], memory)
         return tsum(out.log_probs * weight)
 

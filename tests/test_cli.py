@@ -59,6 +59,28 @@ def test_synth_zero_samples_is_argument_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_synth_more_glyphs_than_the_catalogue_is_an_error(tmp_path, capsys):
+    args = synth_args(tmp_path / "x")
+    args[args.index("--glyphs") + 1] = "20"
+    assert main(args) == 1
+    assert "--glyphs 20" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_on_non_finite_pixel_is_a_data_error(tmp_path, dataset_dir, capsys):
+    path = dataset_dir / "train.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["images"][0][0] = float("nan")
+    lines[1] = json.dumps(record)                       # writes the literal NaN
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(dataset_dir), "--out", str(out),
+                 "--quiet", "--set", *MICRO_SET]) == 1
+    assert f"{path}:2: image holds a non-finite pixel" in capsys.readouterr().err
+    assert not (out / "diverged_batch.json").exists()
+
+
 def test_train_missing_dataset_fails_before_compute(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "nowhere"), "--out",
                  str(tmp_path / "run"), "--quiet"])
@@ -147,6 +169,11 @@ def test_evaluate_mismatched_ids_listed(tmp_path, capsys):
     ('{"id": "b", "candidate": "x"}', "missing field 'references'"),
     ('{not json', "malformed JSON"),
     ('["b", "x"]', "expected a JSON object"),
+    ('{"id": "b", "candidate": 5, "references": ["x"]}', "field 'candidate' must be a string"),
+    ('{"id": "b", "candidate": "x", "references": "there is a dot"}',
+     "field 'references' must be a list of strings"),
+    ('{"id": "b", "candidate": "x", "references": ["x", 3]}',
+     "field 'references' must be a list of strings"),
 ])
 def test_evaluate_bad_candidate_record_names_path_and_line(tmp_path, capsys, second, message):
     cands = tmp_path / "c.jsonl"
@@ -169,6 +196,28 @@ def test_evaluate_repeated_id_names_path_and_line(tmp_path, capsys, repeated, wi
         args += ["--references", str(files["r"])]
     assert main(args) == 1
     assert f"{files[repeated]}:3: duplicate id 'a'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second, message", [
+    ('{"id": "b", "report": ["there is a dot"]}', "field 'report' must be a string"),
+    ('{"id": "b", "references": "there is a dot"}', "field 'references' must be a list of strings"),
+])
+def test_evaluate_wrong_reference_file_type_names_path_and_line(tmp_path, capsys, second, message):
+    cands = tmp_path / "c.jsonl"
+    refs = tmp_path / "r.jsonl"
+    cands.write_text("".join(json.dumps({"id": i, "candidate": "x"}) + "\n" for i in "ab"))
+    refs.write_text(json.dumps({"id": "a", "report": "x"}) + f"\n{second}\n")
+    assert main(["evaluate", "--candidates", str(cands), "--references", str(refs)]) == 1
+    assert f"{refs}:2: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_ignores_case(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": "a", "candidate": "There is a DOT in r1c2 .",
+                                "references": ["there IS a dot in R1C2 ."]}) + "\n")
+    assert main(["evaluate", "--candidates", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bleu_4"] == pytest.approx(1.0) and report["rouge_l"] == pytest.approx(1.0)
 
 
 def test_evaluate_reference_record_without_report_names_path_and_line(tmp_path, capsys):

@@ -9,28 +9,30 @@ from camalign.consistency import (consistency_loss, select_important_words,
 from conftest import check_grads
 
 
-def sims_of(embeds, summary, mask=None):
+def sims_of(embeds, summary):
     embeds = Tensor(np.asarray(embeds, dtype=float))
     summary = Tensor(np.asarray(summary, dtype=float).reshape(1, -1))
-    if mask is None:
-        mask = np.ones(embeds.shape[0], dtype=bool)
-    return word_similarities(embeds, summary, mask)
+    return word_similarities(embeds, summary)
+
+
+def every_word(sims):
+    return np.ones(sims.shape, dtype=bool)
 
 
 def test_self_similarity_is_one():
     v = np.array([0.3, -1.2, 0.7])
     out = sims_of([v], v)
-    assert out.values.data[0] == pytest.approx(1.0, abs=1e-12)
+    assert out.data[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthogonal_vectors_zero():
     out = sims_of([[1.0, 0.0]], [0.0, 1.0])
-    assert out.values.data[0] == pytest.approx(0.0, abs=1e-12)
+    assert out.data[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_closed_form():
     out = sims_of([[1.0, 0.0]], [1.0, 1.0])
-    assert out.values.data[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert out.data[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
 
 def test_zero_vectors_are_safe():
@@ -40,25 +42,18 @@ def test_zero_vectors_are_safe():
                             ([[1.0, 2.0]], [[0.0, 0.0]])):
         words = Tensor(embeds, requires_grad=True)
         target = Tensor(summary, requires_grad=True)
-        out = word_similarities(words, target, np.ones(len(embeds), dtype=bool))
-        backward(tsum(out.values * np.arange(1.0, len(embeds) + 1.0)))
-        assert out.values.data[0] == 0.0
+        out = word_similarities(words, target)
+        backward(tsum(out * np.arange(1.0, len(embeds) + 1.0)))
+        assert out.data[0] == 0.0
         assert np.array_equal(words.grad[0], [0.0, 0.0])
         assert np.isfinite(words.grad).all() and np.isfinite(target.grad).all()
         if not target.data.any():
             assert np.array_equal(target.grad, [[0.0, 0.0]])
 
 
-def test_masked_positions_carry_sentinel():
-    out = sims_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], mask=np.array([True, False]))
-    assert out.masked[1] == -np.inf
-    assert np.isfinite(out.masked[0])
-
-
 def test_dim_mismatch_rejected():
     with pytest.raises(ShapeError):
-        word_similarities(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 4))),
-                          np.ones(2, dtype=bool))
+        word_similarities(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 4))))
 
 
 # -- selection ---------------------------------------------------------------------
@@ -66,13 +61,13 @@ def test_dim_mismatch_rejected():
 
 def test_gamma_is_ceiling_of_fraction(rng):
     sims = sims_of(rng.normal(size=(10, 4)), rng.normal(size=4))
-    assert select_important_words(sims, 0.25).size == 3     # ceil(2.5)
+    assert select_important_words(sims, every_word(sims), 0.25).size == 3     # ceil(2.5)
 
 
 def test_selection_tie_break_lower_index():
     embeds = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     sims = sims_of(embeds, [1.0, 0.0])
-    picked = select_important_words(sims, 0.34)             # gamma = 2 of 3
+    picked = select_important_words(sims, every_word(sims), 0.34)   # gamma = 2 of 3
     assert np.array_equal(np.sort(picked), [0, 1])
 
 
@@ -80,28 +75,38 @@ def test_selection_prefix_property(rng):
     sims = sims_of(rng.normal(size=(12, 4)), rng.normal(size=4))
     previous = set()
     for k in (0.1, 0.25, 0.5, 0.75, 1.0):
-        picked = set(int(i) for i in select_important_words(sims, k))
+        picked = set(int(i) for i in select_important_words(sims, every_word(sims), k))
         assert previous <= picked
         previous = picked
 
 
 def test_selection_respects_mask(rng):
     mask = np.array([True, False, True, False])
-    sims = sims_of(rng.normal(size=(4, 3)), rng.normal(size=3), mask=mask)
-    picked = select_important_words(sims, 1.0)
+    sims = sims_of(rng.normal(size=(4, 3)), rng.normal(size=3))
+    picked = select_important_words(sims, mask, 1.0)
     assert set(int(i) for i in picked) == {0, 2}
 
 
+def test_masked_best_word_never_selected():
+    # position 1 holds the highest similarity (exactly 1) but is masked out
+    sims = sims_of([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]], [1.0, 0.0])
+    mask = np.array([True, False, True, True])
+    for k in (0.1, 0.5, 1.0):
+        picked = select_important_words(sims, mask, k)
+        assert 1 not in set(int(i) for i in picked)
+    assert int(select_important_words(sims, mask, 0.1)[0]) == 2    # best unmasked word
+
+
 def test_all_masked_raises():
-    sims = sims_of(np.zeros((2, 3)), np.zeros(3), mask=np.zeros(2, dtype=bool))
+    sims = sims_of(np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(ContractError):
-        select_important_words(sims, 0.5)
+        select_important_words(sims, np.zeros(2, dtype=bool), 0.5)
 
 
 def test_k_out_of_range_rejected(rng):
     sims = sims_of(rng.normal(size=(4, 3)), rng.normal(size=3))
     with pytest.raises(ContractError):
-        select_important_words(sims, 0.0)
+        select_important_words(sims, every_word(sims), 0.0)
 
 
 # -- textual map --------------------------------------------------------------------
@@ -151,7 +156,7 @@ def test_map_stays_in_unit_interval(rng):
         embeds = rng.normal(size=(t, 4))
         summary = rng.normal(size=4)
         sims = sims_of(embeds, summary)
-        selected = select_important_words(sims, float(rng.uniform(0.2, 1.0)))
+        selected = select_important_words(sims, every_word(sims), float(rng.uniform(0.2, 1.0)))
         out = textual_map(Tensor(attn), sims, selected)
         assert (out.data >= 0.0).all() and (out.data <= 1.0).all()
 
@@ -180,9 +185,9 @@ def test_map_equals_per_word_reference(rng):
         attn = rng.normal(size=(t, n))
         attn[rng.random(t) < 0.3] = rng.normal()             # some flat rows
         sims = sims_of(rng.normal(size=(t, 4)), rng.normal(size=4))
-        selected = select_important_words(sims, float(rng.uniform(0.2, 1.0)))
+        selected = select_important_words(sims, every_word(sims), float(rng.uniform(0.2, 1.0)))
         out = textual_map(Tensor(attn), sims, selected)
-        assert np.array_equal(out.data, _per_word_reference(attn, sims.values.data, selected))
+        assert np.array_equal(out.data, _per_word_reference(attn, sims.data, selected))
 
 
 def test_flat_selected_row_gets_exactly_zero_gradient():
@@ -246,8 +251,8 @@ def test_gradient_through_attention_logits(rng):
 
     def build_loss():
         attn = softmax(logits)
-        sims = word_similarities(embeds, summary, mask)
-        selected = select_important_words(sims, 0.7)
+        sims = word_similarities(embeds, summary)
+        selected = select_important_words(sims, mask, 0.7)
         return consistency_loss(textual_map(attn, sims, selected), target)
 
     check_grads(build_loss, [logits, embeds, summary], h=1e-5, tol=1e-4)

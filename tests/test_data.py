@@ -235,12 +235,21 @@ def test_labels_other_than_zero_or_one_name_path_and_line(tmp_path, labels):
     "[[]]", "[7]", '[[0.0, "x", 1.0, 0.5]]', "[[true]]",   # a grid that is not numbers
     "[[0.0, 1.0]]",                                      # not square
     "[[0.0], [0.0, 1.0, 0.5, 0.2]]",                     # views of different sides
+    "[[0.0, NaN, 0.5, 1.0]]", "[[Infinity]]", "[[0.0], [-Infinity]]",  # non-finite pixels
 ])
 def test_images_other_than_one_or_two_square_grids_name_path_and_line(tmp_path, images):
     path = tmp_path / "bad.jsonl"
     good = '{"id": "a", "images": [[0.0]], "report": "x", "labels": [1, 0]}'
     path.write_text(f'{good}\n{{"id": "b", "images": {images}, "report": "x", "labels": [1, 0]}}\n')
     with pytest.raises(DataError, match=re.escape(f"{path}:2: image")):
+        load_dataset(path)
+
+
+def test_repeated_sample_id_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    record = '{{"id": "{}", "images": [[0.0]], "report": "x", "labels": [1, 0]}}\n'
+    path.write_text(record.format("a") + record.format("b") + record.format("a"))
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate id 'a'")):
         load_dataset(path)
 
 

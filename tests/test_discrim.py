@@ -62,11 +62,11 @@ def test_inject_token_dim_mismatch():
 
 def test_split_memory_shapes(rng):
     encoded = Tensor(rng.normal(size=(5, 6)))
-    parts = split_memory(encoded)
-    assert parts.summary.shape == (1, 6)
-    assert parts.memory.shape == (4, 6)
-    assert np.array_equal(parts.summary.data[0], encoded.data[0])
-    assert np.array_equal(parts.memory.data, encoded.data[1:])
+    summary, memory = split_memory(encoded)
+    assert summary.shape == (1, 6)
+    assert memory.shape == (4, 6)
+    assert np.array_equal(summary.data[0], encoded.data[0])
+    assert np.array_equal(memory.data, encoded.data[1:])
 
 
 def test_split_memory_rejects_short_input():
@@ -76,21 +76,21 @@ def test_split_memory_rejects_short_input():
 
 def test_perturbing_summary_leaves_memory_bits_unchanged(rng):
     encoded = Tensor(rng.normal(size=(4, 5)))
-    parts = split_memory(encoded)
-    before = parts.memory.data.copy()
-    parts.summary.data += 100.0
-    assert np.array_equal(parts.memory.data, before)
+    summary, memory = split_memory(encoded)
+    before = memory.data.copy()
+    summary.data += 100.0
+    assert np.array_equal(memory.data, before)
 
 
 def test_no_gradient_path_from_memory_to_summary(rng):
     encoded = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    parts = split_memory(encoded)
-    loss = tsum(parts.memory * parts.memory)
+    summary, memory = split_memory(encoded)
+    loss = tsum(memory * memory)
     backward(loss)
     # summary node untouched by a loss that uses only the memory rows
-    assert parts.summary.grad is None
-    assert np.array_equal(grad_of(parts.summary), np.zeros((1, 5)))
+    assert summary.grad is None
+    assert np.array_equal(grad_of(summary), np.zeros((1, 5)))
     # while a summary-consuming loss does reach it
-    zero_grads([encoded, parts.summary])
-    backward(tsum(parts.summary * 3.0))
-    assert np.abs(grad_of(parts.summary)).sum() > 0
+    zero_grads([encoded, summary])
+    backward(tsum(summary * 3.0))
+    assert np.abs(grad_of(summary)).sum() > 0

@@ -174,7 +174,7 @@ def test_memory_width_equals_map_length_both_modes():
     assert result.memory.shape[0] == result.visual_map.shape[0]
     base, samples_b, vocab_b = micro_setup("base")
     result_b = run_forward(base, samples_b[0], vocab_b)
-    assert result_b.memory.shape[0] == base.extractor([samples_b[0].images[0]]).tokens.shape[0]
+    assert result_b.memory.shape[0] == base.extractor([samples_b[0].images[0]]).shape[0]
 
 
 def test_detach_contract_on_model():
@@ -195,7 +195,7 @@ def test_detach_contract_on_model():
 def test_perturbing_summary_never_changes_decoder_output():
     model, samples, vocab = micro_setup("full")
     sample = samples[0]
-    memory, summary, _, _ = model.encode_images(sample.images)
+    memory, summary, _ = model.encode_images(sample.images)
     ids = tokenize(sample.report, vocab)
     before = model.decoder(ids[:-1], memory).log_probs.data
     summary.data += 1e6
@@ -205,7 +205,7 @@ def test_perturbing_summary_never_changes_decoder_output():
 
 def test_pinned_map_overrides_computed():
     model, samples, vocab = micro_setup("full")
-    n = model.extractor([samples[0].images[0]]).tokens.shape[0]
+    n = model.extractor([samples[0].images[0]]).shape[0]
     pinned = np.linspace(0.0, 1.0, n)
     result = run_forward(model, samples[0], vocab, pinned_map=pinned)
     assert np.array_equal(result.visual_map, pinned)

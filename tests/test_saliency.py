@@ -87,7 +87,7 @@ def test_fallback_uses_argmax_probability_class(rng):
     head = -np.abs(rng.normal(size=(3, 3)))
     tokens = Tensor(np.abs(feats))
     result = visual_map_from_features(tokens, Tensor(head))
-    if result.presence.sum() == 0:
+    if result.probs.presence.sum() == 0:
         best = int(np.argmax(result.probs.probs))
         assert np.allclose(result.visual_map, normalize_map(result.cams[best]))
 
@@ -99,7 +99,7 @@ def test_visual_map_is_max_of_chosen_normalised_cams(rng):
         head = rng.normal(size=(5, 4))
         result = visual_map_from_features(Tensor(feats), Tensor(head))
         for b in range(2):
-            chosen = np.flatnonzero(result.presence[b])
+            chosen = np.flatnonzero(result.probs.presence[b])
             if chosen.size == 0:
                 chosen = [int(np.argmax(result.probs.probs[b]))]
             expected = np.max([normalize_map(class_activation_map(feats[b], head, c))
@@ -120,7 +120,7 @@ def test_visual_map_max_is_one_for_nonconstant_maps(rng):
     tokens = Tensor(rng.normal(size=(8, 4)))
     head = Tensor(rng.normal(size=(5, 4)))
     result = visual_map_from_features(tokens, head)
-    chosen = np.flatnonzero(result.presence)
+    chosen = np.flatnonzero(result.probs.presence)
     if chosen.size == 0:
         chosen = [int(np.argmax(result.probs.probs))]
     if any(normalize_map(result.cams[i]).max() > 0 for i in chosen):
