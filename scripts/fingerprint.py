@@ -6,10 +6,10 @@ against its parent commit line by line.
     python3 scripts/fingerprint.py --out runs/fingerprint
     python3 scripts/fingerprint.py --out runs/new --against runs/old
 
-Each variant trains on the criterion-8 profile (run seed 5, data seed 5,
-140 train / 20 validation samples, 2 epochs, patience 2), then decodes 8
-held-out samples with beam 3 and writes them to ``beam3.txt`` in its run
-dir.  One line per variant gives the first 16 hex digits of the sha256 of
+Each variant trains through ``train()``, so in float32, on the
+criterion-8 profile (run seed 5, data seed 5, 140 train / 20 validation
+samples, 2 epochs, patience 2), then decodes 8 held-out samples with beam 3
+and writes them to ``beam3.txt`` in its run dir.  One line per variant gives the first 16 hex digits of the sha256 of
 ``metrics.jsonl``, ``checkpoint_best.bin``, ``checkpoint_last.bin`` and the
 beam-3 candidates joined by newlines.
 

@@ -1,12 +1,16 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 A ``Tensor`` wraps a numpy array and, when produced by a primitive, records
 its parents and a backward closure.  ``backward`` linearises the implied
 graph into a ``Tape`` (reverse topological order is the creation order of
 the trace) and sweeps it once, accumulating gradients into ``.grad``.
 
-Everything is double precision: correctness is established by finite
-difference checks, not by speed.  Tensors are immutable values: the package
+A float32 array stays float32 and every other input becomes float64; a
+constant operand of ``add``, ``sub``, ``mul`` or ``div`` takes the dtype of
+its tensor operand, so a float32 graph stays float32 (numpy 2 would promote
+it on meeting a float64 array or scalar).  Training runs in float32; models
+built directly, and every finite-difference check, run in float64, which is
+where correctness is established.  Tensors are immutable values: the package
 never writes into a tensor's ``.data`` (``Adam.step`` and ``load_state``
 rebind it to a new array), so ``reshape`` may return a view of its input's
 storage.  Every other primitive returns storage of its own; ``transpose``
@@ -35,7 +39,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         # Validated after every primitive; trips early on overflow
         # instead of letting NaNs propagate into the optimiser.  Any NaN or
         # inf makes the sum non-finite; finite values whose sum overflows
@@ -106,6 +112,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple:
+    """Both operands as tensors; a constant one takes the other's dtype."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
 def _make(data, parents, backward) -> Tensor:
     """Assemble an op result; constants fold to leaves (no closure kept).
 
@@ -145,7 +160,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -157,7 +172,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -169,7 +184,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -181,7 +196,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         if a.requires_grad:

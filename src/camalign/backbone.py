@@ -8,6 +8,7 @@ samples as one graph.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ class PatchExtractor:
 
     def __call__(self, images) -> Tensor:
         """Extract every view of (..., views, G, G) grids; tokens (..., views * cells, C), view-major."""
-        grids = np.asarray(images, dtype=np.float64)
+        grids = np.asarray(images, dtype=self.w1.data.dtype)
         if grids.ndim < 3 or grids.shape[-1] != grids.shape[-2]:
             raise ShapeError(f"expected square single-channel grids, got {grids.shape}")
         side, lead = grids.shape[-1], grids.shape[:-2]
@@ -102,6 +103,7 @@ class MultiHeadAttention:
             raise ShapeError(f"dim {dim} not divisible by heads {heads}")
         self.dim, self.heads = dim, heads
         self.head_dim = dim // heads
+        self.scale = 1.0 / math.sqrt(self.head_dim)
         self.wq = xavier(rng, dim, dim)
         self.wk = xavier(rng, dim, dim)
         self.wv = xavier(rng, dim, dim)
@@ -121,7 +123,7 @@ class MultiHeadAttention:
                       (*range(n), n + 1, n + 2, n))                                # (...,H,d,S)
         v = transpose(reshape(add(matmul(values, self.wv), self.bv), split), swap)  # (...,H,S,d)
         # one softmax for every head; a (T, T) causal mask broadcasts over H and the batch
-        scores = softmax(matmul(q, k) * (1.0 / np.sqrt(self.head_dim)), mask=mask)
+        scores = softmax(matmul(q, k) * self.scale, mask=mask)
         mixed = reshape(transpose(matmul(scores, v), swap), (*query.shape[:n], -1, self.dim))
         return add(matmul(mixed, self.wo), self.bo), scores
 
@@ -203,7 +205,7 @@ class Encoder:
             raise ShapeError("encoder needs at least one token")
         x = add(matmul(tokens, self.proj_w), self.proj_b)
         if self.cfg.pos_enc:
-            x = add(x, Tensor(self.position_table(tokens.shape[-2], views, leading_tokens)))
+            x = add(x, self.position_table(tokens.shape[-2], views, leading_tokens))
         for block in self.blocks:
             x = block(x)
         return x
@@ -257,7 +259,7 @@ def _heads(x: np.ndarray, attn: MultiHeadAttention, name: str) -> np.ndarray:
 def _attend(attn: MultiHeadAttention, x, k, v) -> np.ndarray:
     """Rows x (R,D) attend over keys (R,H,d,S) and values (R,H,S,d), or shared (H,d,S), (H,S,d)."""
     q = _heads(x, attn, "q")[:, :, None]                                    # (R,H,1,d)
-    scores = softmax_values((q @ k) * (1.0 / np.sqrt(attn.head_dim)))
+    scores = softmax_values((q @ k) * attn.scale)
     return (scores @ v).reshape(-1, attn.dim) @ attn.wo.data + attn.bo.data
 
 
@@ -293,7 +295,7 @@ class Decoder:
         t = np.shape(prefix_ids)[-1]
         x = self.embed_words(prefix_ids)
         if self.cfg.pos_enc:
-            x = add(x, Tensor(sinusoid_positions(t, self.cfg.dim)))
+            x = add(x, sinusoid_positions(t, self.cfg.dim))
         causal = np.tril(np.ones((t, t), dtype=bool))
         cross_scores = None
         for block in self.blocks:
@@ -304,12 +306,13 @@ class Decoder:
     def step_fn(self, memory: np.ndarray):
         """``step(prefixes)`` -> (R, vocab) next-token log-probs over a fixed memory (N, D).
 
-        Plain numpy on the parameters' values: no graph.  The memory's
-        cross-attention keys/values are projected once; every prefix seen keeps
-        its log-probs and per-layer self-attention keys/values.  A call advances
-        the uncached prefixes and ancestors in waves of one length, each wave's
-        R rows through one set of (R, D) products over the parents' stacked keys
-        (R,H,d,t) and values (R,H,t,d).  Row r equals
+        Plain numpy on the parameters' values, in the memory's dtype: no graph.
+        The memory's cross-attention keys/values are projected once; every
+        prefix seen keeps its log-probs and per-layer self-attention
+        keys/values.  A call advances the uncached prefixes and ancestors in
+        waves of one length, each wave's R rows through one set of (R, D)
+        products over the parents' stacked keys (R,H,d,t) and values
+        (R,H,t,d).  Row r equals
         ``self(prefixes[r], memory).log_probs[-1]`` up to rounding.
         """
         for name, p in self.params().items():
@@ -324,7 +327,7 @@ class Decoder:
         # prefix -> (log-probs, per block (K (H,d,t), V (H,t,d)))
         cache = {(): (None, [(k[..., :0], v[:, :0]) for k, v in cross])}
         vocab, dim = self.embedding.shape
-        positions = np.zeros((0, dim))            # grown on demand, built once per closure
+        positions = np.zeros((0, dim), memory.dtype)   # grown on demand, built once per closure
 
         def advance(wave):
             """Compute and cache ``wave``: distinct prefixes of one length t, parents cached."""
@@ -333,7 +336,7 @@ class Decoder:
             x = self.embedding.data[[p[-1] for p in wave]]
             if self.cfg.pos_enc:
                 if len(positions) < t:
-                    positions = sinusoid_positions(2 * t, dim)
+                    positions = sinusoid_positions(2 * t, dim).astype(memory.dtype)
                 x = x + positions[t - 1]
             parents = zip(*(cache[p[:-1]][1] for p in wave))     # per block: each row's (K, V)
             grown = []

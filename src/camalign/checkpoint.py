@@ -23,7 +23,8 @@ class CheckpointError(ValueError):
 
 
 def save_params(path, params: dict) -> None:
-    """``params`` maps names to float arrays (or Tensors with ``.data``).
+    """``params`` maps names to float arrays (or Tensors with ``.data``); a
+    float32 value widens exactly to its float64 record.
 
     The archive is written beside ``path`` and then renamed over it, so a
     reader sees either the previous archive or the whole new one.

@@ -20,9 +20,8 @@ from .data import (DataError, GLYPH_NAMES, SyntheticSpec, Vocab,
                    generate_synthetic, load_dataset, read_jsonl, require_field,
                    save_alignment, save_dataset, split_dataset, tokenize)
 from .metrics import evaluate_corpus
-from .model import build_model
 from .saliency import normalize_map
-from .training import TrainingDiverged, evaluate_split, generate_report, train
+from .training import TrainingDiverged, evaluate_split, generate_report, run_model, train
 
 METRIC_KEYS = ("bleu_1", "bleu_2", "bleu_3", "bleu_4", "rouge_l", "cider")
 
@@ -100,7 +99,7 @@ def _load_run(run_dir: Path, checkpoint: str = "best"):
     vocab_data = json.loads((run_dir / "vocab.json").read_text())
     vocab = Vocab({t: i for i, t in enumerate(vocab_data["id_to_token"])},
                   vocab_data["id_to_token"])
-    model = build_model(cfg, len(vocab), np.random.default_rng([cfg.train.seed, 0]))
+    model = run_model(cfg, len(vocab))
     model.load_state(load_params(run_dir / f"checkpoint_{checkpoint}.bin"))
     return cfg, vocab, model
 

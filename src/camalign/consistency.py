@@ -75,5 +75,5 @@ def consistency_loss(text_map: Tensor, visual_map) -> Tensor:
     target = np.asarray(visual_map)
     if text_map.shape != target.shape:
         raise ShapeError(f"map lengths differ: {text_map.shape} vs {target.shape}")
-    diff = sub(text_map, Tensor(target))
+    diff = sub(text_map, target)
     return tsum(mul(diff, diff), axis=-1) * (1.0 / target.shape[-1])

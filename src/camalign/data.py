@@ -137,6 +137,8 @@ def load_dataset(path, expected_classes: int = None) -> list:
         if sample_id in seen:
             raise DataError(f"{where}: duplicate id {sample_id!r}")
         seen.add(sample_id)
+        if not isinstance(record["report"], str):
+            raise DataError(f"{where}: field 'report' must be a string")
         labels = record["labels"]
         if not isinstance(labels, list) or any(v not in (0, 1) for v in labels):
             raise DataError(f"{where}: labels must be a list of 0/1 values, got {labels!r}")
@@ -160,7 +162,7 @@ def load_dataset(path, expected_classes: int = None) -> list:
             raise DataError(f"{where}: image grids of one sample must share one side")
         samples.append(Sample(
             id=sample_id, images=images,
-            report=str(record["report"]),
+            report=record["report"],
             labels=np.asarray(labels, dtype=np.int64)))
     return samples
 

@@ -57,9 +57,10 @@ def beam_search(step_fn, width: int, max_len: int) -> list:
         live = [b for b in beams if not b.finished]
         candidates = [b for b in beams if b.finished]
         for beam, logp in zip(live, step_fn([[BOS, *b.ids] for b in live])):
-            # Beam.score of every extension; past this beam's own best ``width``
-            # an extension cannot reach the top ``width`` overall
-            scores = (beam.log_prob + logp) / (len(beam.ids) + 1)
+            # Beam.score of every extension, in float64 so that a float32 row's
+            # distinct log-probs stay distinct after the add; past this beam's own
+            # best ``width`` an extension cannot reach the top ``width`` overall
+            scores = (beam.log_prob + np.asarray(logp, dtype=np.float64)) / (len(beam.ids) + 1)
             for token in np.argsort(-scores, kind="stable")[:width].tolist():
                 candidates.append(Beam(
                     ids=beam.ids + (token,),

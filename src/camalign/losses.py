@@ -55,7 +55,7 @@ def label_bce(logits: Tensor, labels) -> Tensor:
     if not np.isin(labels, (0, 1)).all():
         raise ContractError(f"labels must be 0 or 1, got {labels.tolist()}")
     column = (*labels.shape, 1)
-    pairs = concat([Tensor(np.zeros(column)), reshape(logits, column)], axis=-1)
+    pairs = concat([Tensor(np.zeros(column, logits.data.dtype)), reshape(logits, column)], axis=-1)
     picked = log_softmax(pairs)[np.indices(labels.shape, sparse=True) + (labels.astype(np.int64),)]
     return -mean(picked, axis=-1)
 

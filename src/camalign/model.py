@@ -76,6 +76,7 @@ class CaptionModel:
         return sum(p.size for p in self.params().values())
 
     def load_state(self, state: dict) -> None:
+        """Rebind every parameter to its record, narrowed to the parameter's dtype."""
         params = self.params()
         missing = set(params) ^ set(state)
         if missing:
@@ -83,7 +84,7 @@ class CaptionModel:
         for name, value in state.items():
             if params[name].data.shape != value.shape:
                 raise ContractError(f"checkpoint shape mismatch for {name}")
-            params[name].data = np.array(value, dtype=np.float64)
+            params[name].data = np.array(value, dtype=params[name].data.dtype)
 
     # -- encoding -----------------------------------------------------------
 

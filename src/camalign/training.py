@@ -2,7 +2,8 @@
 
 Each run directory receives the effective config, the vocabulary, per-epoch
 metric records, and best/last checkpoints, so an entire run reproduces from
-its own artifacts plus the dataset.
+its own artifacts plus the dataset.  A run trains its parameters and Adam
+moments in float32 (``RUN_DTYPE``); its checkpoints still hold float64 records.
 """
 from __future__ import annotations
 
@@ -15,13 +16,16 @@ import numpy as np
 
 from .autodiff import ContractError, add, backward, tsum
 from .checkpoint import save_params
-from .config import RunConfig, save_config
+from .config import ConfigError, RunConfig, save_config
 from .data import PAD, Vocab, build_vocab, detokenize, tokenize
 from .decoding import beam_search, greedy_decode
 from .losses import LossBreakdown
 from .metrics import evaluate_corpus
 from .model import CaptionModel, build_model
 from .optim import Adam
+
+
+RUN_DTYPE = np.float32      # a run's parameters and Adam moments; checks build float64 models
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,6 +60,16 @@ class TrainResult:
     state: TrainState
     history: list = field(default_factory=list)
     run_dir: Path = None
+
+
+def run_model(cfg: RunConfig, vocab_size: int) -> CaptionModel:
+    """The model of a run: built from ``train.seed`` as ``build_model`` builds it,
+    then narrowed to ``RUN_DTYPE``.  ``train()`` trains it and ``camalign``
+    loads a run's checkpoints into it, so both decode the same model."""
+    model = build_model(cfg, vocab_size, np.random.default_rng([cfg.train.seed, 0]))
+    for p in model.params().values():
+        p.data = p.data.astype(RUN_DTYPE)
+    return model
 
 
 def sample_losses(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig):
@@ -155,6 +169,9 @@ def train(cfg: RunConfig, train_samples, val_samples, run_dir,
     """Run the configured variant to early stop or the epoch budget."""
     if not train_samples or not val_samples:
         raise ValueError("empty train or validation split")
+    for key, weight in (("train.lambda", cfg.train.lambda_), ("train.delta", cfg.train.delta)):
+        if weight > float(np.finfo(RUN_DTYPE).max):
+            raise ConfigError(f"{key}={weight:g} exceeds the {np.dtype(RUN_DTYPE)} range of a run")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, run_dir / "config.json")
@@ -163,7 +180,7 @@ def train(cfg: RunConfig, train_samples, val_samples, run_dir,
                         min_freq=cfg.data.min_freq, max_size=cfg.model.vocab_max)
     (run_dir / "vocab.json").write_text(json.dumps({"id_to_token": vocab.id_to_token}))
 
-    model = build_model(cfg, len(vocab), np.random.default_rng([cfg.train.seed, 0]))
+    model = run_model(cfg, len(vocab))
     shuffle_rng = np.random.default_rng([cfg.train.seed, 1])
     opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
                 (model.encdec_params(), cfg.train.lr_ed)])

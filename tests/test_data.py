@@ -245,6 +245,15 @@ def test_images_other_than_one_or_two_square_grids_name_path_and_line(tmp_path, 
         load_dataset(path)
 
 
+@pytest.mark.parametrize("report", ['["there is a dot"]', "5", "null", '{"text": "x"}'])
+def test_report_other_than_a_string_names_path_and_line(tmp_path, report):
+    path = tmp_path / "bad.jsonl"
+    good = '{"id": "a", "images": [[0.0]], "report": "x", "labels": [1, 0]}'
+    path.write_text(f'{good}\n{{"id": "b", "images": [[0.0]], "report": {report}, "labels": [1, 0]}}\n')
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: field 'report' must be a string")):
+        load_dataset(path)
+
+
 def test_repeated_sample_id_names_path_and_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     record = '{{"id": "{}", "images": [[0.0]], "report": "x", "labels": [1, 0]}}\n'

@@ -49,6 +49,23 @@ def test_width_one_equals_greedy_exactly():
         assert beam_search(step, 1, 8) == greedy_decode(step, 8)
 
 
+def test_width_one_equals_greedy_on_float32_rows_that_tie_after_a_float32_add():
+    near = np.nextafter(np.float32(-1.0), np.float32(-2.0))   # just below -1, at a lower id
+
+    @rows
+    def step(prefix):
+        logp = np.full(6, -1e4, dtype=np.float32)
+        logp[{1: 4, 2: 5, 3: EOS}[len(prefix)]] = {1: -1000.0, 2: -1.0, 3: 0.0}[len(prefix)]
+        if len(prefix) == 2:
+            logp[3] = near
+        return logp
+
+    running, row = np.float32(-1000.0), step([[BOS, 4]])[0]
+    assert row[5] > row[3] and running + row[5] == running + row[3]
+    assert greedy_decode(step, 5) == [4, 5, EOS]
+    assert beam_search(step, 1, 5) == [4, 5, EOS]
+
+
 def test_beam_three_matches_exhaustive_enumeration():
     # seeds verified to place the global optimum within a width-3 search
     for seed in (0, 1, 3, 4, 5):

@@ -1,14 +1,21 @@
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from camalign import autodiff
 from camalign.autodiff import backward, grad_of, trace, zero_grads
-from camalign.config import load_config
-from camalign.data import Sample, SyntheticSpec, build_vocab, generate_synthetic, tokenize
+from camalign.cli import _load_run
+from camalign.config import ConfigError, load_config
+from camalign.data import (BOS, Sample, SyntheticSpec, build_vocab, generate_synthetic,
+                           tokenize)
+from camalign.decoding import greedy_decode
 from camalign.model import build_model
-from camalign.training import (TrainingDiverged, TrainState, evaluate_split,
-                               sample_losses, train)
+from camalign.optim import Adam
+from camalign.training import (TrainingDiverged, TrainState, evaluate_split, run_model,
+                               sample_losses, train, train_step)
 
 MICRO = {"model.layers": 1, "model.heads": 2, "model.dim": 8,
          "model.feat_dim": 6, "model.patch": 4, "model.classes": 3,
@@ -114,13 +121,21 @@ def test_nan_input_aborts_with_batch_dump(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_batch_loss_dumps_every_sample_loss(tmp_path):
-    # each sample's total is finite, the sum of the batch's four totals is not
+    # a run trains in float32 (max 3.4e38): each sample's total is about 1.45e38,
+    # so validation's two-sample sum is finite and the batch's four-sample sum is not
     train_s, val_s = micro_dataset()
     with pytest.raises(TrainingDiverged, match=r"^tsum produced non-finite values from \(4,\);"):
-        train(micro_cfg(**{"train.lambda": 1e308}), train_s, val_s, tmp_path / "run")
+        train(micro_cfg(**{"train.lambda": 2e38}), train_s, val_s, tmp_path / "run")
     dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
     assert len(dump["loss_terms"]) == len(dump["samples"]) == 4
     assert dump["error"] == "tsum produced non-finite values from (4,)"
+
+
+@pytest.mark.parametrize("key", ["train.lambda", "train.delta"])
+def test_a_loss_weight_past_the_float32_range_names_its_key(tmp_path, key):
+    train_s, val_s = micro_dataset()
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}=1e\+308 exceeds the float32 range"):
+        train(micro_cfg(**{key: 1e308}), train_s, val_s, tmp_path / "run")
 
 
 def test_empty_split_rejected(tmp_path):
@@ -207,3 +222,61 @@ def test_a_batch_builds_one_graph():
     one, eight = (len(trace(sample_losses(model, samples[:n], vocab, cfg)[1]).nodes)
                   for n in (1, 8))
     assert eight < 1.5 * one
+
+
+# -- float32 runs ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("views", [(1,), (2,)], ids=["one_view", "two_views"])
+@pytest.mark.parametrize("variant", ["base", "vdmae", "full"])
+def test_a_float32_step_and_decoder_step_make_no_float64(monkeypatch, variant, views):
+    samples, vocab = mixed_batch(views)
+    cfg = micro_cfg(**{"train.variant": variant, "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    model = run_model(cfg, len(vocab))
+    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
+                (model.encdec_params(), cfg.train.lr_ed)])
+    dtypes = Counter()
+    make, accumulate = autodiff._make, autodiff._accumulate
+
+    def counted_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        dtypes["result", out.data.dtype.name] += 1
+        return out
+
+    def counted_accumulate(t, g):
+        dtypes["gradient", np.asarray(g).dtype.name] += 1
+        accumulate(t, g)
+
+    monkeypatch.setattr(autodiff, "_make", counted_make)
+    monkeypatch.setattr(autodiff, "_accumulate", counted_accumulate)
+    train_step(model, opt, samples, vocab, cfg)
+    step_rows = model.step_fn(samples[0].images)([[BOS], [BOS, 4]])
+    assert set(dtypes) == {("result", "float32"), ("gradient", "float32")}, dtypes
+    assert step_rows.dtype == np.float32
+    for name, p in model.params().items():
+        assert p.data.dtype == opt.m[name].dtype == opt.v[name].dtype == np.float32, name
+
+
+def test_float32_and_float64_runs_agree_on_the_first_step_loss_terms():
+    samples, vocab = mixed_batch((1, 2))
+    cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    wide = build_model(cfg, len(vocab), np.random.default_rng([cfg.train.seed, 0]))
+    narrow = run_model(cfg, len(vocab))
+    for want, got in zip(sample_losses(wide, samples, vocab, cfg)[0],
+                         sample_losses(narrow, samples, vocab, cfg)[0]):
+        np.testing.assert_allclose([got.ce, got.bce, got.mse, got.total],
+                                   [want.ce, want.bce, want.mse, want.total], rtol=1e-5, atol=0)
+
+
+def test_a_float32_checkpoint_reloads_as_the_model_it_saved(tmp_path):
+    train_s, val_s = micro_dataset()
+    result = train(micro_cfg(), train_s, val_s, tmp_path / "run")
+    _, _, loaded = _load_run(tmp_path / "run", "last")
+    for name, p in result.model.params().items():
+        got = loaded.params()[name].data
+        assert got.dtype == np.float32 and np.array_equal(got, p.data), name
+    for sample in train_s + val_s:
+        assert greedy_decode(loaded.step_fn(sample.images), 14) == \
+            greedy_decode(result.model.step_fn(sample.images), 14)
