@@ -21,13 +21,21 @@ only moves rounding shows how far it moved.  The exit code is then 1 when
 any variant's beam-3 candidates differ or its metrics log differs in
 records, fields or text (drift ``inf``); differing checkpoint bytes alone
 do not fail it, since a rounding-only change moves them.
+
+BLAS runs on one thread, set before numpy loads, so the hashes do not depend
+on the host's core count.
 """
 import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads: a GEMM's rounding depends on its thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 from camalign.config import load_config
 from camalign.data import GLYPH_NAMES, SyntheticSpec, generate_synthetic

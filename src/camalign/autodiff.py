@@ -17,7 +17,9 @@ storage.  Every other primitive returns storage of its own; ``transpose``
 copies so that later products see a contiguous operand.  Gradients follow
 the same rule: a tensor keeps the first gradient it receives by reference
 (often another node's ``.grad``, or a view of it) and adds every later one
-out of place, so no code writes into a ``.grad`` array in place.
+out of place, so no code writes into a ``.grad`` array in place.  Every
+tensor is screened for NaN and inf as it is built, by one self-dot of its
+values; only values whose squares overflow take the exact elementwise check.
 """
 from __future__ import annotations
 
@@ -44,9 +46,9 @@ class Tensor:
             arr = np.asarray(arr, dtype=np.float64)
         # Validated after every primitive; trips early on overflow
         # instead of letting NaNs propagate into the optimiser.  Any NaN or
-        # inf makes the sum non-finite; finite values whose sum overflows
-        # fall through to the exact check.
-        if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        # inf makes the self-dot (one BLAS call) non-finite; finite values
+        # whose squares overflow fall through to the exact check.
+        if not np.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
             raise ContractError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -220,6 +222,16 @@ def relu(a) -> Tensor:
 # -- structural primitives ----------------------------------------------------
 
 
+def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Accumulate the gradients of ``a @ b`` from the product's gradient ``g``."""
+    if a.requires_grad:
+        _accumulate(a, g @ b.data.swapaxes(-1, -2))
+    if b.requires_grad and a.ndim > b.ndim:   # one shared weight: one product over all rows
+        _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    elif b.requires_grad:
+        _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+
+
 def matmul(a, b) -> Tensor:
     """``(..., m, k) @ (..., k, n)``, slice by slice; leading axes must be equal,
     or ``b`` is one ``(k, n)`` matrix shared by every slice of ``a``."""
@@ -229,14 +241,27 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs (...,m,k)x(...,k,n), got {a.shape} x {b.shape}")
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad and a.ndim > b.ndim:   # one shared weight: one product over all rows
-            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        elif b.requires_grad:
-            _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+        _product_grads(a, b, g)
 
     return _make(a.data @ b.data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node: rows ``(..., m, k)``, one weight ``(k, n)``, bias ``(n,)``.
+
+    Values and gradients equal ``add(matmul(x, w), b)`` bit for bit; the
+    bias-free product is never kept.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs (...,m,k)x(k,n)+(n,), got {x.shape} x {w.shape} + {b.shape}")
+
+    def backward(g):
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
+        _product_grads(x, w, g)
+
+    return _make(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -377,14 +402,17 @@ def softmax_values(x: np.ndarray, mask=None) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(a, mask=None) -> Tensor:
-    """``softmax_values`` on the graph; masked-out entries get zero gradient."""
+def softmax(a, mask=None, scale: float = 1.0) -> Tensor:
+    """``softmax_values`` of ``a * scale`` on the graph; masked-out entries get zero gradient.
+
+    The scaled scores are a temporary: only ``a`` and the probabilities stay on the graph.
+    """
     a = as_tensor(a)
-    p = softmax_values(a.data, mask)
+    p = softmax_values(a.data * scale, mask)
 
     def backward(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
-        _accumulate(a, p * (g - inner))
+        _accumulate(a, p * (g - inner) * scale)
 
     return _make(p, (a,), backward)
 

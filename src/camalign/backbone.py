@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ContractError, ShapeError, Tensor, add, gather_rows,
-                       layer_norm, layer_norm_values, log_softmax, log_softmax_values,
+                       layer_norm, layer_norm_values, linear, log_softmax, log_softmax_values,
                        matmul, mean, relu, reshape, softmax, softmax_values, transpose)
 from .config import ModelSection
 
@@ -87,9 +87,9 @@ class PatchExtractor:
         if side % self.patch != 0:
             raise ShapeError(f"grid side {side} not divisible by patch {self.patch}")
         x = _blockify(Tensor(grids[..., None]), lead, side, self.p1)
-        x = relu(add(matmul(x, self.w1), self.b1))
+        x = relu(linear(x, self.w1, self.b1))
         x = _blockify(x, lead, side // self.p1, self.p2)
-        return add(matmul(x, self.w2), self.b2)
+        return linear(x, self.w2, self.b2)
 
 
 class MultiHeadAttention:
@@ -118,14 +118,14 @@ class MultiHeadAttention:
         n = query.ndim - 2                          # leading batch axes
         split = (*query.shape[:n], -1, self.heads, self.head_dim)
         swap = (*range(n), n + 1, n, n + 2)         # (..., T, H, d) <-> (..., H, T, d)
-        q = transpose(reshape(add(matmul(query, self.wq), self.bq), split), swap)   # (...,H,T,d)
-        k = transpose(reshape(add(matmul(keys, self.wk), self.bk), split),
-                      (*range(n), n + 1, n + 2, n))                                # (...,H,d,S)
-        v = transpose(reshape(add(matmul(values, self.wv), self.bv), split), swap)  # (...,H,S,d)
+        q = transpose(reshape(linear(query, self.wq, self.bq), split), swap)   # (...,H,T,d)
+        k = transpose(reshape(linear(keys, self.wk, self.bk), split),
+                      (*range(n), n + 1, n + 2, n))                           # (...,H,d,S)
+        v = transpose(reshape(linear(values, self.wv, self.bv), split), swap)  # (...,H,S,d)
         # one softmax for every head; a (T, T) causal mask broadcasts over H and the batch
-        scores = softmax(matmul(q, k) * self.scale, mask=mask)
+        scores = softmax(matmul(q, k), mask=mask, scale=self.scale)
         mixed = reshape(transpose(matmul(scores, v), swap), (*query.shape[:n], -1, self.dim))
-        return add(matmul(mixed, self.wo), self.bo), scores
+        return linear(mixed, self.wo, self.bo), scores
 
 
 class FeedForward:
@@ -141,7 +141,7 @@ class FeedForward:
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(relu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
+        return linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
 
 
 class _Norm:
@@ -203,7 +203,7 @@ class Encoder:
         """(..., tokens, C) -> (..., tokens, D); after the leading tokens, ``views`` equal runs."""
         if tokens.shape[-2] < 1:
             raise ShapeError("encoder needs at least one token")
-        x = add(matmul(tokens, self.proj_w), self.proj_b)
+        x = linear(tokens, self.proj_w, self.proj_b)
         if self.cfg.pos_enc:
             x = add(x, self.position_table(tokens.shape[-2], views, leading_tokens))
         for block in self.blocks:
@@ -300,7 +300,7 @@ class Decoder:
         cross_scores = None
         for block in self.blocks:
             x, cross_scores = block(x, memory, causal)
-        logits = add(matmul(x, self.out_w), self.out_b)
+        logits = linear(x, self.out_w, self.out_b)
         return DecoderOutput(log_probs=log_softmax(logits), cross_final=cross_scores)
 
     def step_fn(self, memory: np.ndarray):

@@ -45,10 +45,8 @@ def ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_n(candidates, references, n: int) -> float:
-    """Corpus BLEU with uniform weights over 1..n-gram precisions."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"BLEU order must be 1..4, got {n}")
+def _bleu_counts(candidates, references, n: int):
+    """Corpus-summed clipped matches and totals of orders 1..n, and both corpus lengths."""
     _check_corpus(candidates, references)
     matched = np.zeros(n)
     total = np.zeros(n)
@@ -69,6 +67,13 @@ def bleu_n(candidates, references, n: int) -> float:
                     best[gram] = max(best[gram], ref_counts.get(gram, 0))
             matched[order - 1] += sum(min(c, best[g]) for g, c in counts.items())
             total[order - 1] += sum(counts.values())
+    return matched, total, cand_len, ref_len
+
+
+def _bleu(counts, n: int) -> float:
+    """BLEU-n from ``_bleu_counts`` of any order ``>= n``."""
+    matched, total, cand_len, ref_len = counts
+    matched, total = matched[:n], total[:n]
     if (total == 0).any() or (matched == 0).any():
         return 0.0
     log_precision = np.log(matched / total).mean()
@@ -76,12 +81,22 @@ def bleu_n(candidates, references, n: int) -> float:
     return float(brevity * np.exp(log_precision))
 
 
+def bleu_n(candidates, references, n: int) -> float:
+    """Corpus BLEU with uniform weights over 1..n-gram precisions."""
+    if not 1 <= n <= 4:
+        raise ValueError(f"BLEU order must be 1..4, got {n}")
+    return _bleu(_bleu_counts(candidates, references, n), n)
+
+
 def _lcs_length(a, b) -> int:
-    table = np.zeros((len(a) + 1, len(b) + 1), dtype=np.int64)
-    for i, x in enumerate(a, start=1):
-        for j, y in enumerate(b, start=1):
-            table[i, j] = table[i - 1, j - 1] + 1 if x == y else max(table[i - 1, j], table[i, j - 1])
-    return int(table[len(a), len(b)])
+    """Longest common subsequence length, one row of the table at a time."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b):
+            row.append(prev[j] + 1 if x == y else max(prev[j + 1], row[j]))
+        prev = row
+    return prev[-1]
 
 
 def rouge_l(candidates, references) -> float:
@@ -153,10 +168,9 @@ def cider(candidates, references) -> float:
 
 
 def evaluate_corpus(candidates, references) -> MetricReport:
+    """Every metric; the n-gram counts of orders 1..4 are taken once for all four BLEUs."""
+    counts = _bleu_counts(candidates, references, 4)
     return MetricReport(
-        bleu_1=bleu_n(candidates, references, 1),
-        bleu_2=bleu_n(candidates, references, 2),
-        bleu_3=bleu_n(candidates, references, 3),
-        bleu_4=bleu_n(candidates, references, 4),
+        *(_bleu(counts, n) for n in range(1, 5)),
         rouge_l=rouge_l(candidates, references),
         cider=cider(candidates, references))

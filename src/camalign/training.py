@@ -106,12 +106,17 @@ def train_step(model: CaptionModel, opt: Adam, batch, vocab: Vocab, cfg: RunConf
     """One Adam step on the batch loss of ``sample_losses``; returns each sample's breakdown.
 
     Only the float breakdowns leave, so the batch's graph is freed on return.
-    A ``ContractError`` leaves with ``.breakdowns`` as ``sample_losses`` set them.
+    A ``ContractError`` leaves with ``.breakdowns``: as ``sample_losses`` set
+    them, or every sample's when Adam raised.
     """
     breakdowns, loss = sample_losses(model, batch, vocab, cfg)
     opt.zero_grad()
     backward(loss)
-    opt.step()
+    try:
+        opt.step()
+    except ContractError as err:
+        err.breakdowns = breakdowns
+        raise
     return breakdowns
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from camalign import autodiff as ad
 from camalign.autodiff import (ContractError, ShapeError, Tensor, backward,
-                               concat, cosine, gather_rows, grad_of, layer_norm,
-                               log_softmax, matmul, mean, relu, reshape, softmax,
+                               add, concat, cosine, gather_rows, grad_of, layer_norm,
+                               linear, log_softmax, matmul, mean, relu, reshape, softmax,
                                tmax, tmin, trace, transpose, tsum)
 from conftest import check_grads
 
@@ -145,15 +145,21 @@ def test_layer_norm_rejects_single_channel():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_tensor_rejects_non_finite():
-    for values in ([1.0, np.nan], [np.inf, -np.inf], [np.nan], [1.0, np.inf]):
-        with pytest.raises(ContractError):
-            Tensor(values)
+    for dtype in (np.float64, np.float32):
+        for values in ([1.0, np.nan], [np.inf, -np.inf], [np.nan], [1.0, np.inf], [[3e38, np.nan]]):
+            with pytest.raises(ContractError):
+                Tensor(np.array(values, dtype=dtype))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_tensor_accepts_finite_values_whose_sum_overflows():
-    for values in ([1e308, 1e308], [-1e308, -1e308]):
-        assert np.array_equal(Tensor(values).data, values)
+    """Finite values whose sum or squares overflow pass, and keep their dtype."""
+    for values, dtype in (([1e308, 1e308], np.float64), ([-1e308, -1e308], np.float64),
+                          ([1e200], np.float64), ([3e38, 3e38], np.float32),
+                          ([-3e38, 1.0, 3e38], np.float32), ([[2e19, -2e19]], np.float32)):
+        arr = np.array(values, dtype=dtype)
+        out = Tensor(arr).data
+        assert out.dtype == dtype and np.array_equal(out, arr)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -304,6 +310,10 @@ def test_binary_primitive_gradients(name, op, shape_a, shape_b, rng):
 UNARY_CASES = [
     ("relu", relu, lambda r: r.normal(size=(2, 3)) + 0.3),
     ("softmax", softmax, lambda r: r.normal(size=(2, 5))),
+    ("softmax_scaled", lambda t: softmax(t, scale=0.35), lambda r: r.normal(size=(2, 5)) * 3),
+    ("softmax_scaled_masked",                       # a causal (T, T) mask over (H, T, T) scores
+     lambda t: softmax(t, mask=np.tril(np.ones((4, 4), dtype=bool)), scale=0.35),
+     lambda r: r.normal(size=(2, 4, 4)) * 3),
     ("log_softmax", log_softmax, lambda r: r.normal(size=(2, 5)) * 3),
     ("log_softmax_saturated", log_softmax, lambda r: r.choice([-800.0, 800.0], size=(2, 5))),
     ("sum_axis", lambda t: tsum(t, axis=1), lambda r: r.normal(size=(3, 4))),
@@ -324,6 +334,55 @@ def test_unary_primitive_gradients(name, op, sample, rng):
     x = Tensor(sample(rng), requires_grad=True)
     w = Tensor(np.random.default_rng(0).normal(size=op(x).shape))
     check_grads(lambda: tsum(op(x) * w), [x])
+
+
+@pytest.mark.parametrize("shape_x", [(4, 3), (2, 4, 3)], ids=["rows", "batched"])
+def test_linear_gradient(shape_x, rng):
+    x = Tensor(rng.normal(size=shape_x), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    weights = Tensor(rng.normal(size=(*shape_x[:-1], 5)))
+    check_grads(lambda: tsum(linear(x, w, b) * weights), [x, w, b])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape_x", [(4, 3), (2, 4, 3)], ids=["rows", "batched"])
+def test_linear_is_add_of_matmul_bit_for_bit(shape_x, dtype, rng):
+    """One node, the same value and the same x, w and b gradients as ``add(matmul(x, w), b)``."""
+    arrays = [rng.normal(size=s).astype(dtype) for s in (shape_x, (3, 5), (5,))]
+    g = rng.normal(size=(*shape_x[:-1], 5)).astype(dtype)
+    results = []
+    for build in (linear, lambda x, w, b: add(matmul(x, w), b)):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = build(x, w, b)
+        backward(tsum(out * g))
+        results.append([out.data, x.grad, w.grad, b.grad])
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype == dtype
+        assert np.array_equal(fused, composed)
+
+
+def test_linear_rejects_mismatched_shapes():
+    x = Tensor(np.zeros((2, 3)))
+    for w, b in (((4, 5), (5,)), ((3, 5), (4,)), ((3, 5), (1, 5)), ((2, 3, 5), (5,))):
+        with pytest.raises(ShapeError, match="linear needs"):
+            linear(x, Tensor(np.zeros(w)), Tensor(np.zeros(b)))
+
+
+def test_scaled_softmax_is_softmax_of_the_scaled_scores_bit_for_bit(rng):
+    mask = np.tril(np.ones((4, 4), dtype=bool))
+    for dtype in (np.float64, np.float32):
+        scores, g = (rng.normal(size=(2, 4, 4)).astype(dtype) for _ in range(2))
+        results = []
+        for build in (lambda a: softmax(a, mask=mask, scale=0.35),
+                      lambda a: softmax(a * 0.35, mask=mask)):
+            a = Tensor(scores.copy(), requires_grad=True)
+            out = build(a)
+            backward(tsum(out * g))
+            results.append([out.data, a.grad])
+        for fused, composed in zip(*results):
+            assert fused.dtype == composed.dtype == dtype
+            assert np.array_equal(fused, composed)
 
 
 def test_getitem_repeated_indices_accumulate():
@@ -448,5 +507,5 @@ def test_every_primitive_has_a_gradient_check(monkeypatch, rng):
     missing = sorted(name for name in _node_builders() - built
                      if not any(re.fullmatch(rf"test_(\w+_)?{name}_gradients?(_\w+)?", n)
                                 for n in named))
-    assert _node_builders() >= {"layer_norm", "cosine", "softmax", "_extremum"}
+    assert _node_builders() >= {"layer_norm", "cosine", "softmax", "_extremum", "linear"}
     assert not missing, f"primitives without a finite-difference check: {missing}"

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from camalign.autodiff import ShapeError, Tensor, backward, tsum
+from camalign.autodiff import ContractError, ShapeError, Tensor, backward, tsum
 from camalign.checkpoint import CheckpointError, load_params, save_params
 from camalign.optim import BETA1, BETA2, EPS, Adam
 
@@ -54,6 +54,28 @@ def test_shape_mismatch_rejected():
     p.data = np.zeros(3)   # rebound to a shape its moments do not have
     with pytest.raises(ShapeError):
         step_with(opt, p, np.zeros(3))
+
+
+@pytest.mark.parametrize("grad", [1e21, 2e19], ids=["moment_overflows", "debiased_moment_overflows"])
+def test_an_overflowing_update_names_its_parameter(grad):
+    """In float32 ``(1 - BETA2) * g * g`` overflows for g = 1e21, and its first-step
+    debiased value ``g * g`` for g = 2e19; either would make v inf and the
+    update a silent 0.  Adam fails instead, naming the parameter."""
+    keep = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    big = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    opt = Adam([({"keep": keep, "big": big}, 0.1)])
+    keep.grad = np.ones(2, dtype=np.float32)
+    big.grad = np.array([1.0, grad, -1.0], dtype=np.float32)
+    with pytest.raises(ContractError, match=r"^adam: the gradient of big overflows float32 "):
+        opt.step()
+
+
+def test_a_large_gradient_within_range_steps_normally():
+    p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    opt = Adam([({"p": p}, 0.1)])
+    p.grad = np.array([1e19, -1e19], dtype=np.float32)
+    opt.step()
+    np.testing.assert_allclose(p.data, [-0.1, 0.1], rtol=1e-6)
 
 
 def test_matches_a_per_parameter_reference_bit_for_bit(rng):

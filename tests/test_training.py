@@ -131,6 +131,19 @@ def test_overflowing_batch_loss_dumps_every_sample_loss(tmp_path):
     assert dump["error"] == "tsum produced non-finite values from (4,)"
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_gradient_that_overflows_adam_dumps_every_sample_loss(tmp_path):
+    # each sample's total is about 7e37, so the float32 forward pass stays finite, but
+    # gradients of that order square past 3.4e38 in Adam's second moment
+    train_s, val_s = micro_dataset()
+    with pytest.raises(TrainingDiverged, match=r"^adam: the gradient of extractor\.w1 overflows "
+                                               r"float32 in its update;"):
+        train(micro_cfg(**{"train.lambda": 1e38}), train_s, val_s, tmp_path / "run")
+    dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
+    assert len(dump["loss_terms"]) == len(dump["samples"]) == 4
+    assert all(np.isfinite(terms["total"]) for terms in dump["loss_terms"])
+
+
 @pytest.mark.parametrize("key", ["train.lambda", "train.delta"])
 def test_a_loss_weight_past_the_float32_range_names_its_key(tmp_path, key):
     train_s, val_s = micro_dataset()
@@ -222,6 +235,34 @@ def test_a_batch_builds_one_graph():
     one, eight = (len(trace(sample_losses(model, samples[:n], vocab, cfg)[1]).nodes)
                   for n in (1, 8))
     assert eight < 1.5 * one
+
+
+def test_a_batch_graph_keeps_no_bias_free_product_or_unscaled_softmax_input():
+    """Every projection is one ``linear`` node and every attention scale sits
+    inside its ``softmax``: no ``add`` takes a ``matmul`` output and a 1-D
+    parameter, and no ``mul`` by a constant feeds a ``softmax``."""
+    samples, vocab = mixed_batch((1,))
+    cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    model = run_model(cfg, len(vocab))
+    params = {id(p) for p in model.params().values()}
+
+    def op(node):
+        return node._backward.__qualname__.split(".")[0] if node._backward else "leaf"
+
+    nodes = trace(sample_losses(model, samples, vocab, cfg)[1]).nodes
+    ops = Counter(op(node) for node in nodes)
+    # extractor, encoder input, two encoder and two decoder blocks (four per attention, two
+    # per FFN), vocabulary output; one softmax per encoder block and two per decoder block
+    assert ops["linear"] == 2 + 1 + 2 * (4 + 2) + 2 * (4 + 4 + 2) + 1
+    assert ops["softmax"] == 2 * 1 + 2 * 2
+    for node in nodes:
+        if op(node) == "add":
+            a, b = node._parents
+            assert not (op(a) == "matmul" and id(b) in params and b.ndim == 1)
+        if op(node) == "softmax":
+            (scores,) = node._parents
+            assert op(scores) == "matmul"
 
 
 # -- float32 runs ---------------------------------------------------------------------
