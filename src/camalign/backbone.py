@@ -307,12 +307,11 @@ class Decoder:
         """``step(prefixes)`` -> (R, vocab) next-token log-probs over a fixed memory (N, D).
 
         Plain numpy on the parameters' values, in the memory's dtype: no graph.
-        The memory's cross-attention keys/values are projected once; every
-        prefix seen keeps its log-probs and per-layer self-attention
-        keys/values.  A call advances the uncached prefixes and ancestors in
-        waves of one length, each wave's R rows through one set of (R, D)
-        products over the parents' stacked keys (R,H,d,t) and values
-        (R,H,t,d).  Row r equals
+        The memory's cross-attention keys/values are projected once.  Between
+        calls the closure keeps only the last call's prefixes and, per block,
+        their stacked self-attention keys (R,H,d,t) and values (R,H,t,d).  A
+        call's prefixes share one length: one token starts over, and a longer
+        prefix must be a row of the last call plus one token.  Row r equals
         ``self(prefixes[r], memory).log_probs[-1]`` up to rounding.
         """
         for name, p in self.params().items():
@@ -324,27 +323,34 @@ class Decoder:
                   _heads(memory, b.cross_attn, "v").transpose(1, 0, 2).copy()) for b in self.blocks]
         norms = [[(n.gain.data, n.bias.data) for n in (b.norm1, b.norm2, b.norm3)]
                  for b in self.blocks]
-        # prefix -> (log-probs, per block (K (H,d,t), V (H,t,d)))
-        cache = {(): (None, [(k[..., :0], v[:, :0]) for k, v in cross])}
         vocab, dim = self.embedding.shape
+        empty = ({(): 0}, [(k[None, ..., :0], v[None, :, :0]) for k, v in cross])  # one-token parent
+        last = empty                                   # previous call's ({prefix: row}, [(K, V)])
         positions = np.zeros((0, dim), memory.dtype)   # grown on demand, built once per closure
 
-        def advance(wave):
-            """Compute and cache ``wave``: distinct prefixes of one length t, parents cached."""
-            nonlocal positions
-            t = len(wave[0])
-            x = self.embedding.data[[p[-1] for p in wave]]
+        def step(prefixes):
+            nonlocal last, positions
+            keys = [tuple(int(i) for i in p) for p in prefixes]
+            for prefix in keys:
+                if not prefix or min(prefix) < 0 or max(prefix) >= vocab:
+                    raise ContractError(f"prefix must be non-empty ids in [0, {vocab}): {prefix}")
+            if not keys:
+                return np.zeros((0, vocab), memory.dtype)
+            t = len(keys[0])
+            rows, kv = empty if t == 1 else last
+            for prefix in keys:
+                if prefix[:-1] not in rows:
+                    raise ContractError(f"prefix {prefix} is not a row of the last call plus one token")
+            parents = [rows[p[:-1]] for p in keys]
+            x = self.embedding.data[[p[-1] for p in keys]]
             if self.cfg.pos_enc:
                 if len(positions) < t:
                     positions = sinusoid_positions(2 * t, dim).astype(memory.dtype)
                 x = x + positions[t - 1]
-            parents = zip(*(cache[p[:-1]][1] for p in wave))     # per block: each row's (K, V)
             grown = []
-            for block, kv, (mem_k, mem_v), (n1, n2, n3) in zip(self.blocks, parents, cross, norms):
-                k = np.concatenate([np.array([pk for pk, _ in kv]),
-                                    _heads(x, block.self_attn, "k")[..., None]], axis=3)
-                v = np.concatenate([np.array([pv for _, pv in kv]),
-                                    _heads(x, block.self_attn, "v")[:, :, None]], axis=2)
+            for block, (pk, pv), (mem_k, mem_v), (n1, n2, n3) in zip(self.blocks, kv, cross, norms):
+                k = np.concatenate([pk[parents], _heads(x, block.self_attn, "k")[..., None]], axis=3)
+                v = np.concatenate([pv[parents], _heads(x, block.self_attn, "v")[:, :, None]], axis=2)
                 grown.append((k, v))
                 x = layer_norm_values(x + _attend(block.self_attn, x, k, v), *n1)[0]
                 x = layer_norm_values(x + _attend(block.cross_attn, x, mem_k, mem_v), *n2)[0]
@@ -355,22 +361,8 @@ class Decoder:
             logp = log_softmax_values(x @ self.out_w.data + self.out_b.data)
             bad = ~np.isfinite(logp).all(axis=1)
             if bad.any():
-                raise ContractError(f"decoder step produced non-finite log-probs at {wave[bad.argmax()]}")
-            for r, prefix in enumerate(wave):
-                cache[prefix] = (logp[r], [(k[r], v[r]) for k, v in grown])
-
-        def step(prefixes):
-            keys = [tuple(int(i) for i in p) for p in prefixes]
-            waves = {}                            # length -> uncached prefixes, in order
-            for prefix in keys:
-                if not prefix or min(prefix) < 0 or max(prefix) >= vocab:
-                    raise ContractError(f"prefix must be non-empty ids in [0, {vocab}): {prefix}")
-                for t in range(len(prefix), 0, -1):
-                    if prefix[:t] in cache:
-                        break
-                    waves.setdefault(t, {})[prefix[:t]] = None
-            for t in sorted(waves):
-                advance(list(waves[t]))
-            return np.array([cache[p][0] for p in keys]).reshape(len(keys), vocab)
+                raise ContractError(f"decoder step produced non-finite log-probs at {keys[bad.argmax()]}")
+            last = ({p: r for r, p in enumerate(keys)}, grown)
+            return logp
 
         return step

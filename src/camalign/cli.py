@@ -94,11 +94,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: malformed JSON ({e.msg})") from e
+
+
+def _strings(path: Path, names, what: str) -> list:
+    """``names`` if it is a list of distinct strings, else a ``DataError`` naming ``path``."""
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise DataError(f"{path}: {what} must be a list of strings")
+    if len(set(names)) != len(names):
+        repeated = next(n for i, n in enumerate(names) if n in names[:i])
+        raise DataError(f"{path}: {what} repeats {repeated!r}")
+    return names
+
+
 def _load_run(run_dir: Path, checkpoint: str = "best"):
     cfg = load_config(run_dir / "config.json")
-    vocab_data = json.loads((run_dir / "vocab.json").read_text())
-    vocab = Vocab({t: i for i, t in enumerate(vocab_data["id_to_token"])},
-                  vocab_data["id_to_token"])
+    path = run_dir / "vocab.json"
+    data = _read_json(path)
+    tokens = _strings(path, data.get("id_to_token") if isinstance(data, dict) else None,
+                      "'id_to_token'")
+    vocab = Vocab({t: i for i, t in enumerate(tokens)}, tokens)
     model = run_model(cfg, len(vocab))
     model.load_state(load_params(run_dir / f"checkpoint_{checkpoint}.bin"))
     return cfg, vocab, model
@@ -179,10 +198,17 @@ def cmd_inspect_maps(args) -> int:
     sample = samples[0] if args.id is None else next((s for s in samples if s.id == args.id), None)
     if sample is None:
         raise DataError(f"sample id {args.id!r} not found in {args.data}")
+    classes = [f"class{i}" for i in range(cfg.model.classes)]
+    if args.classes:
+        classes = _strings(args.classes, _read_json(args.classes), "class names")
+        if len(classes) != cfg.model.classes:
+            raise DataError(f"{args.classes}: {len(classes)} class names, "
+                            f"the model has {cfg.model.classes} classes")
+        for name in classes:                       # each names a CAM dump file
+            if "/" in name:
+                raise DataError(f"{args.classes}: class name {name!r} holds a '/'")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    classes = json.loads(Path(args.classes).read_text()) if args.classes else \
-        [f"class{i}" for i in range(cfg.model.classes)]
 
     ids = tokenize(sample.report, vocab)
     result = model.forward_train(sample.images, ids, sample.labels,

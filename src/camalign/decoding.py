@@ -3,8 +3,10 @@
 Both work against a step function mapping R prefixes (lists of token ids,
 starting with BOS) to an (R, vocab) array of next-token log-probabilities, one
 row per prefix, so toy language models and the real decoder share the same
-code path.  Greedy makes one-row calls.  A step function may keep state between
-calls (the model's caches every prefix it has seen), so make one per sample.
+code path.  Greedy makes one-row calls.  Every call's prefixes share one
+length, and each is ``[BOS]`` or a prefix of the previous call plus one token:
+the model's step keeps only its last call's rows and rejects anything else.
+Its state is per sample, so make one step function per sample.
 """
 from __future__ import annotations
 

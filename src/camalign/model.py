@@ -81,10 +81,16 @@ class CaptionModel:
         missing = set(params) ^ set(state)
         if missing:
             raise ContractError(f"checkpoint does not match model: {sorted(missing)}")
+        narrowed = {}                     # every record checked before any is bound
         for name, value in state.items():
             if params[name].data.shape != value.shape:
                 raise ContractError(f"checkpoint shape mismatch for {name}")
-            params[name].data = np.array(value, dtype=params[name].data.dtype)
+            narrowed[name] = np.array(value, dtype=params[name].data.dtype)
+            if not np.all(np.isfinite(narrowed[name])):
+                raise ContractError(f"checkpoint record {name} holds non-finite values "
+                                    f"as {narrowed[name].dtype}")
+        for name, value in narrowed.items():
+            params[name].data = value
 
     # -- encoding -----------------------------------------------------------
 

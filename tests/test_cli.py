@@ -141,6 +141,21 @@ def test_generate_on_truncated_checkpoint_fails_cleanly(tmp_path, dataset_dir, r
     assert "truncated archive" in capsys.readouterr().err
 
 
+def test_generate_on_a_malformed_vocab_names_the_file(tmp_path, dataset_dir, run_dir, capsys):
+    vocab_path = run_dir / "vocab.json"
+    tokens = json.loads(vocab_path.read_text())["id_to_token"]
+    not_strings = "'id_to_token' must be a list of strings"
+    for payload, message in (('{"tokens": []}', not_strings), ("[1, 2]", not_strings),
+                             (json.dumps({"id_to_token": [*tokens[:-1], 7]}), not_strings),
+                             (json.dumps({"id_to_token": [*tokens, tokens[4]]}),
+                              f"'id_to_token' repeats {tokens[4]!r}"),
+                             ('{"id_to_token": [', "malformed JSON")):
+        vocab_path.write_text(payload)
+        assert main(["generate", "--run", str(run_dir), "--data",
+                     str(dataset_dir / "test.jsonl"), "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert f"{vocab_path}: {message}" in capsys.readouterr().err, payload
+
+
 def test_evaluate_identical_files_score_one(tmp_path, capsys):
     path = tmp_path / "same.jsonl"
     with open(path, "w") as fh:
@@ -247,6 +262,22 @@ def test_inspect_maps_full_variant(tmp_path, dataset_dir, run_dir):
     assert len(meta["presence"]) == 3
     for name in ("solid", "hollow", "cross"):
         assert (out / f"cam_{name}_seg0.csv").exists()
+
+
+def test_inspect_maps_rejects_class_names_that_do_not_fit_the_model(tmp_path, dataset_dir,
+                                                                    run_dir, capsys):
+    path, out = tmp_path / "classes.json", tmp_path / "maps"
+    for names, message in ((["a", "b", "c", "d", "e"], "5 class names, the model has 3 classes"),
+                           ({"solid": 0}, "class names must be a list of strings"),
+                           (["solid", 1, "cross"], "class names must be a list of strings"),
+                           (["solid", "cross", "solid"], "class names repeats 'solid'"),
+                           (["solid", "a/b", "cross"], "class name 'a/b' holds a '/'")):
+        path.write_text(json.dumps(names))
+        assert main(["inspect-maps", "--run", str(run_dir), "--data",
+                     str(dataset_dir / "test.jsonl"), "--out", str(out),
+                     "--classes", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err, names
+        assert not out.exists()
 
 
 def test_inspect_maps_base_variant_notes_absence(tmp_path, dataset_dir):

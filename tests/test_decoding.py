@@ -160,3 +160,26 @@ def test_beam_search_equals_whole_vocabulary_expansion(seed, vocab, levels, widt
     for step in (tied_lm(seed, vocab, levels), toy_lm(seed, vocab)):
         assert (beam_search(step, width, max_len)
                 == beam_search_whole_vocabulary(step, width, max_len))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), vocab=st.integers(2, 7), levels=st.integers(1, 4),
+       width=st.integers(1, 6), max_len=st.integers(1, 10))
+def test_every_step_call_extends_the_last_calls_rows_by_one_token(seed, vocab, levels,
+                                                                  width, max_len):
+    # the decoder step keeps only its last call's rows, so this is all it may be sent
+    for lm in (tied_lm(seed, vocab, levels), toy_lm(seed, vocab)):
+        calls = []
+
+        def recording(prefixes):
+            calls.append([tuple(p) for p in prefixes])
+            return lm(prefixes)
+
+        greedy_decode(recording, max_len)
+        beam_search(recording, width, max_len)
+        last = []
+        for prefixes in calls:
+            assert len({len(p) for p in prefixes}) == 1, prefixes
+            for prefix in prefixes:
+                assert prefix == (BOS,) or prefix[:-1] in last, (prefix, last)
+            last = prefixes

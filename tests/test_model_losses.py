@@ -261,7 +261,8 @@ def test_all_special_report_skips_consistency_term():
 def test_step_fn_consistent_with_decoder():
     model, samples, vocab = micro_setup("full")
     step = model.step_fn(samples[0].images)
-    logp = step([[1, 5], [1]])
+    assert step([[1]]).shape == (1, len(vocab))
+    logp = step([[1, 5], [1, 4]])
     assert logp.shape == (2, len(vocab))
     np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=0, atol=1e-9)
     assert step([]).shape == (0, len(vocab))
@@ -293,56 +294,58 @@ def test_step_equals_decoder_on_every_visited_prefix(layers, pos_enc, views):
     model, sample = step_setup(layers, pos_enc, views)
     memory = model.encode_images(sample.images)[0].data
     assert memory.shape[0] == 4 * views
-    step, calls = model.step_fn(sample.images), []
+    step = model.step_fn(sample.images)
+    for width in (1, 3, 5):            # every search on one closure: each [BOS] call starts over
+        calls = []
 
-    def recording(prefixes):
-        out = step(prefixes)
-        calls.append(([tuple(p) for p in prefixes], out))
-        return out
+        def recording(prefixes):
+            out = step(prefixes)
+            calls.append(([tuple(p) for p in prefixes], out))
+            return out
 
-    greedy_decode(recording, 8)
-    beam_search(recording, 3, 8)
-    assert len({p for prefixes, _ in calls for p in prefixes}) > 8
-    assert max(len(prefixes) for prefixes, _ in calls) == 3
-    for prefixes, out in calls:
-        for prefix, row in zip(prefixes, out, strict=True):
-            np.testing.assert_allclose(row, reference_logp(model, prefix, memory),
-                                       rtol=0, atol=1e-12)
+        greedy_decode(recording, 8)
+        beam_search(recording, width, 8)
+        assert len({p for prefixes, _ in calls for p in prefixes}) > 8 or width == 1
+        assert max(len(prefixes) for prefixes, _ in calls) == width
+        for prefixes, out in calls:
+            for prefix, row in zip(prefixes, out, strict=True):
+                np.testing.assert_allclose(row, reference_logp(model, prefix, memory),
+                                           rtol=0, atol=1e-12)
 
 
 def test_saturated_step_log_probs_are_not_clipped():
     model, sample = step_setup(2, True, 1)
     model.decoder.out_w.data = model.decoder.out_w.data * 1e4
     memory = model.encode_images(sample.images)[0].data
-    logp = model.step_fn(sample.images)([[1, 5]])[0]
+    step = model.step_fn(sample.images)
+    step([[1]])
+    logp = step([[1, 5]])[0]
     assert logp.min() < -1000.0
     np.testing.assert_allclose(logp, reference_logp(model, [1, 5], memory), rtol=0, atol=1e-8)
 
 
-def test_step_on_a_prefix_whose_parents_were_never_seen():
+def test_step_keeps_only_the_last_call():
     model, sample = step_setup(2, True, 1)
     memory = model.encode_images(sample.images)[0].data
-    prefix = [1, 5, 7, 3, 4]
-    cold = model.step_fn(sample.images)([prefix])[0]
-    warm_step = model.step_fn(sample.images)
-    for t in range(1, len(prefix) + 1):
-        warm = warm_step([prefix[:t]])[0]
-    assert np.array_equal(cold, warm)
-    np.testing.assert_allclose(cold, reference_logp(model, prefix, memory), rtol=0, atol=1e-12)
-    # one call: a cold prefix, a warm prefix of another length, a cold child of a warm prefix
-    mixed = [[1, 6, 2, 8], prefix[:3], [1, 5, 7, 9]]
-    rows = warm_step(mixed)
-    one_step = model.step_fn(sample.images)
-    for p, row in zip(mixed, rows, strict=True):
-        np.testing.assert_allclose(row, one_step([p])[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(row, reference_logp(model, p, memory), rtol=0, atol=1e-12)
+    step = model.step_fn(sample.images)
+    with pytest.raises(ContractError, match=r"prefix \(1, 5\) is not a row of the last call"):
+        step([[1, 5]])                                   # cold: no [BOS] call first
+    step([[1]])
+    for mixed, named in (([[1, 5], [1, 5, 7]], r"\(1, 5, 7\)"), ([[1], [1, 5]], r"\(1, 5\)")):
+        with pytest.raises(ContractError, match=f"prefix {named} is not a row"):
+            step(mixed)                                  # one call, two lengths
+    step([[1, 5]])
+    np.testing.assert_allclose(step([[1, 5, 7]])[0], reference_logp(model, [1, 5, 7], memory),
+                               rtol=0, atol=1e-12)
+    with pytest.raises(ContractError, match=r"prefix \(1, 5, 9\) is not a row"):
+        step([[1, 5, 9]])                                # its parent was a row two calls back
 
 
 def test_step_rejects_empty_and_out_of_range_prefixes():
     model, samples, vocab = micro_setup("full")
     step = model.step_fn(samples[0].images)
     for prefix in ([], [1, len(vocab)], [1, -1]):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"prefix must be non-empty ids in \[0, "):
             step([[1, 2], prefix])
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from camalign.autodiff import ContractError, ShapeError, Tensor, backward, tsum
 from camalign.checkpoint import CheckpointError, load_params, save_params
+from camalign.config import load_config
 from camalign.optim import BETA1, BETA2, EPS, Adam
+from camalign.training import run_model
 
 
 def one_tensor(value, lr=0.1):
@@ -207,3 +209,17 @@ def test_checkpoint_failed_save_keeps_previous_archive(tmp_path):
         save_params(path, {"w": np.zeros(2), "bad": "not a number"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39], ids=["nan", "inf", "overflows_float32"])
+def test_loading_a_non_finite_record_names_it_and_binds_nothing(tmp_path, bad):
+    cfg = load_config(None, {"model.layers": 1, "model.heads": 2, "model.dim": 8,
+                             "model.feat_dim": 6, "model.patch": 4, "model.classes": 3})
+    model = run_model(cfg, 10)
+    state = {name: p.data for name, p in model.params().items()}
+    path = tmp_path / "checkpoint_best.bin"
+    save_params(path, {**state, "extractor.w1": np.full_like(state["extractor.w1"], bad)})
+    with pytest.raises(ContractError, match=r"record extractor\.w1 holds non-finite values as float32"):
+        model.load_state(load_params(path))
+    assert all(p.data is state[name] for name, p in model.params().items())
