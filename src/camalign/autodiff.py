@@ -3,7 +3,11 @@
 A ``Tensor`` wraps a numpy array and, when produced by a primitive, records
 its parents and a backward closure.  ``backward`` linearises the implied
 graph into a ``Tape`` (reverse topological order is the creation order of
-the trace) and sweeps it once, accumulating gradients into ``.grad``.
+the trace) and sweeps it once, accumulating gradients into ``.grad``.  The
+plain sweep leaves every node's gradient readable; ``backward(loss,
+release=True)``, the sweep a training step runs, keeps only the leaves'
+gradients and drops each interior one as soon as it has been passed on, so
+the step's peak never holds all activations and all gradients at once.
 
 A float32 array stays float32 and every other input becomes float64; a
 constant operand of ``add``, ``sub``, ``mul`` or ``div`` takes the dtype of
@@ -517,11 +521,14 @@ def trace(root: Tensor) -> Tape:
     return Tape(nodes)
 
 
-def backward(loss: Tensor) -> Tape:
+def backward(loss: Tensor, release: bool = False) -> Tape:
     """Accumulate d(loss)/d(node) into ``.grad`` for every node on the tape.
 
     ``loss`` must be a scalar.  Parameters not reachable from the loss keep
-    ``grad is None``; read them through ``grad_of`` for an exact zero.
+    ``grad is None``; read them through ``grad_of`` for an exact zero.  With
+    ``release`` each interior node drops its ``.grad`` once its backward has
+    passed it to the parents, so only leaves keep gradients; the tape still
+    lists every node with its closure.
     """
     if loss.size != 1:
         raise ContractError(f"backward seed must be scalar, got shape {loss.shape}")
@@ -530,6 +537,8 @@ def backward(loss: Tensor) -> Tape:
     for node in reversed(tape.nodes):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            if release:
+                node.grad = None
     return tape
 
 

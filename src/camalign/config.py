@@ -150,7 +150,10 @@ def load_config(path=None, overrides: dict = None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
         with open(path) as fh:
-            file_flat = json.load(fh)
+            try:
+                file_flat = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}: malformed JSON ({e.msg})") from e
         if not isinstance(file_flat, dict):
             raise ConfigError(f"{path}: config must be a flat JSON object")
         apply_flat(cfg, file_flat)

@@ -128,12 +128,21 @@ def require_field(where: str, record: dict, key: str):
     return record[key]
 
 
+def require_id(where: str, record: dict) -> str:
+    """``record["id"]``, which must be a string: ids are compared as text
+    across files, so an integer id would silently miss every lookup."""
+    sample_id = require_field(where, record, "id")
+    if not isinstance(sample_id, str):
+        raise DataError(f"{where}: field 'id' must be a string, got {sample_id!r}")
+    return sample_id
+
+
 def load_dataset(path, expected_classes: int = None) -> list:
     samples, seen = [], set()
     for where, record in read_jsonl(path):
         for key in ("id", "images", "report", "labels"):
             require_field(where, record, key)
-        sample_id = str(record["id"])
+        sample_id = require_id(where, record)
         if sample_id in seen:
             raise DataError(f"{where}: duplicate id {sample_id!r}")
         seen.add(sample_id)
@@ -177,7 +186,7 @@ def save_alignment(path, alignment: dict) -> None:
 def load_alignment(path) -> dict:
     alignment = {}
     for where, record in read_jsonl(path):
-        sample_id = require_field(where, record, "id")
+        sample_id = require_id(where, record)
         glyphs = require_field(where, record, "glyphs")
         if not (isinstance(glyphs, dict) and all(type(v) is int for v in glyphs.values())):
             raise DataError(f"{where}: field 'glyphs' must map glyph names to cell indices")

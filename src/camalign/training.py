@@ -105,13 +105,15 @@ def sample_losses(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig):
 def train_step(model: CaptionModel, opt: Adam, batch, vocab: Vocab, cfg: RunConfig) -> list:
     """One Adam step on the batch loss of ``sample_losses``; returns each sample's breakdown.
 
-    Only the float breakdowns leave, so the batch's graph is freed on return.
+    The sweep releases each interior gradient once it is passed on, so only
+    the parameters keep gradients for Adam.  Only the float breakdowns leave,
+    so the batch's graph is freed on return.
     A ``ContractError`` leaves with ``.breakdowns``: as ``sample_losses`` set
     them, or every sample's when Adam raised.
     """
     breakdowns, loss = sample_losses(model, batch, vocab, cfg)
     opt.zero_grad()
-    backward(loss)
+    backward(loss, release=True)
     try:
         opt.step()
     except ContractError as err:

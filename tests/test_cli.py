@@ -156,6 +156,14 @@ def test_generate_on_a_malformed_vocab_names_the_file(tmp_path, dataset_dir, run
         assert f"{vocab_path}: {message}" in capsys.readouterr().err, payload
 
 
+
+def test_generate_on_a_truncated_config_names_the_file(tmp_path, dataset_dir, run_dir, capsys):
+    config_path = run_dir / "config.json"
+    config_path.write_text(config_path.read_text()[:15])
+    assert main(["generate", "--run", str(run_dir), "--data",
+                 str(dataset_dir / "test.jsonl"), "--out", str(tmp_path / "c.jsonl")]) == 1
+    assert f"{config_path}: malformed JSON" in capsys.readouterr().err
+
 def test_evaluate_identical_files_score_one(tmp_path, capsys):
     path = tmp_path / "same.jsonl"
     with open(path, "w") as fh:

@@ -254,6 +254,15 @@ def test_report_other_than_a_string_names_path_and_line(tmp_path, report):
         load_dataset(path)
 
 
+
+@pytest.mark.parametrize("sample_id", ["7", "null", "[1]"])
+def test_dataset_id_other_than_a_string_names_path_and_line(tmp_path, sample_id):
+    path = tmp_path / "bad.jsonl"
+    good = '{"id": "a", "images": [[0.0]], "report": "x", "labels": [1, 0]}'
+    path.write_text(f'{good}\n{{"id": {sample_id}, "images": [[0.0]], "report": "x", "labels": [1, 0]}}\n')
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: field 'id' must be a string")):
+        load_dataset(path)
+
 def test_repeated_sample_id_names_path_and_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     record = '{{"id": "{}", "images": [[0.0]], "report": "x", "labels": [1, 0]}}\n'
@@ -274,6 +283,7 @@ def test_alignment_roundtrip(tmp_path):
     ('{"glyphs": {"dot": 11}}', "missing field 'id'"),
     ('{"id": "s2", "glyphs": [11]}', "field 'glyphs' must map glyph names to cell indices"),
     ('{"id": "s2", "glyphs": {"dot": "11"}}', "field 'glyphs' must map glyph names"),
+    ('{"id": 2, "glyphs": {"dot": 11}}', "field 'id' must be a string, got 2"),
     ('{not json', "malformed JSON"),
     ('["s2", {"dot": 11}]', "expected a JSON object"),
 ])

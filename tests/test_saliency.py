@@ -107,6 +107,20 @@ def test_visual_map_is_max_of_chosen_normalised_cams(rng):
             assert np.allclose(result.visual_map[b], expected, rtol=0, atol=1e-12)
 
 
+
+@pytest.mark.parametrize("leading", [(), (3,)], ids=["one_sample", "batch"])
+def test_pipeline_cams_are_the_class_activation_maps(rng, leading):
+    """The raw maps the pipeline normalises are the CAMs whose mean is the
+    class logit, each at its own scale (min-max normalisation would hide one)."""
+    tokens = Tensor(rng.normal(size=(*leading, 6, 5)))
+    head = Tensor(rng.normal(size=(4, 5)))
+    result = visual_map_from_features(tokens, head)
+    assert result.cams.shape == (*leading, 4, 6)
+    for c in range(4):
+        np.testing.assert_allclose(result.cams[..., c, :],
+                                   class_activation_map(tokens.data, head.data, c),
+                                   rtol=0, atol=1e-12)
+
 def test_visual_map_in_unit_interval(rng):
     for _ in range(20):
         tokens = Tensor(rng.normal(size=(8, 4)))

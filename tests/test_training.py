@@ -1,11 +1,12 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from camalign import autodiff
+from camalign import autodiff, training
 from camalign.autodiff import backward, grad_of, trace, zero_grads
 from camalign.cli import _load_run
 from camalign.config import ConfigError, load_config
@@ -263,6 +264,59 @@ def test_a_batch_graph_keeps_no_bias_free_product_or_unscaled_softmax_input():
         if op(node) == "softmax":
             (scores,) = node._parents
             assert op(scores) == "matmul"
+
+
+# -- the releasing sweep ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["float64", "float32"])
+def test_the_releasing_sweep_gives_every_leaf_the_plain_sweeps_gradient(narrow):
+    samples, vocab = mixed_batch((1, 2))
+    cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    model = (run_model(cfg, len(vocab)) if narrow
+             else build_model(cfg, len(vocab), np.random.default_rng(4)))
+    leaf_grads = {}
+    for release in (False, True):
+        loss = sample_losses(model, samples, vocab, cfg)[1]
+        zero_grads(model.params().values())
+        tape = backward(loss, release=release)
+        assert len(tape.nodes) == len(trace(loss).nodes)
+        interior = [node for node in tape.nodes if node._backward is not None]
+        assert interior and all((node.grad is None) == release for node in interior)
+        leaf_grads[release] = [None if node.grad is None else node.grad.copy()
+                               for node in tape.nodes if node._backward is None]
+    assert sum(g is not None for g in leaf_grads[True]) == len(model.params())
+    for plain, released in zip(*leaf_grads.values(), strict=True):
+        assert (plain is None) == (released is None)
+        if plain is not None:
+            assert plain.dtype == released.dtype and np.array_equal(plain, released)
+
+
+def test_a_train_step_peak_falls_with_the_releasing_sweep(monkeypatch):
+    """One micro step under tracemalloc: the step's own sweep against the plain one.
+    The ratio of the two peaks reads about 0.65 from run to run."""
+    samples, vocab = mixed_batch((2,))
+    cfg = micro_cfg(**{"train.variant": "full", "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    model = run_model(cfg, len(vocab))
+    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
+                (model.encdec_params(), cfg.train.lr_ed)])
+    train_step(model, opt, samples, vocab, cfg)
+
+    def step_peak():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_step(model, opt, samples, vocab, cfg)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    releasing = step_peak()
+    monkeypatch.setattr(training, "backward", lambda loss, **_: backward(loss))
+    plain = step_peak()
+    assert releasing < 0.75 * plain, (releasing, plain)
 
 
 # -- float32 runs ---------------------------------------------------------------------
