@@ -10,8 +10,8 @@ gradients and drops each interior one as soon as it has been passed on, so
 the step's peak never holds all activations and all gradients at once.
 
 A float32 array stays float32 and every other input becomes float64; a
-constant operand of ``add``, ``sub``, ``mul`` or ``div`` takes the dtype of
-its tensor operand, so a float32 graph stays float32 (numpy 2 would promote
+constant operand of ``add``, ``sub`` or ``mul`` takes the dtype of its
+tensor operand, so a float32 graph stays float32 (numpy 2 would promote
 it on meeting a float64 array or scalar).  Training runs in float32; models
 built directly, and every finite-difference check, run in float64, which is
 where correctness is established.  Tensors are immutable values: the package
@@ -94,12 +94,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -199,18 +193,6 @@ def mul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), backward)
 
 
 def relu(a) -> Tensor:
@@ -357,32 +339,21 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-def _extremum(a, axis, keepdims, argfn, redfn):
+def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out_data = redfn(a.data, axis=axis, keepdims=keepdims)
     # subgradient: route to the first winning element along the axis
+    mask = np.zeros_like(a.data)
     if axis is None:
-        mask = np.zeros_like(a.data)
-        mask.reshape(-1)[argfn(a.data)] = 1.0
+        mask.reshape(-1)[np.argmax(a.data)] = 1.0
     else:
-        idx = np.expand_dims(argfn(a.data, axis=axis), axis)
-        mask = np.zeros_like(a.data)
-        np.put_along_axis(mask, idx, 1.0, axis=axis)
+        np.put_along_axis(mask, np.expand_dims(np.argmax(a.data, axis=axis), axis), 1.0, axis=axis)
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, mask * g)
 
-    return _make(out_data, (a,), backward)
-
-
-def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _extremum(a, axis, keepdims, np.argmax, np.max)
-
-
-def tmin(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _extremum(a, axis, keepdims, np.argmin, np.min)
+    return _make(a.data.max(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 # -- fused numerical primitives ----------------------------------------------
@@ -436,6 +407,33 @@ def log_softmax(a) -> Tensor:
         _accumulate(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _make(out_data, (a,), backward)
+
+
+def minmax(a) -> Tensor:
+    """ReLU, then min-max to [0, 1] over the last axis, as one node.
+
+    A row that is constant after the ReLU becomes zeros with exactly zero
+    gradient.  Values and gradient keep the arithmetic order of the composed
+    ``(m - lo) / (hi - lo + flat) * ~flat`` on ``m = relu(a)``, with the row's
+    first min and first max taking ``lo``'s and ``hi``'s gradients.
+    """
+    a = as_tensor(a)
+    keep = a.data > 0.0
+    m = np.where(keep, a.data, 0.0)
+    lo, hi = m.min(axis=-1, keepdims=True), m.max(axis=-1, keepdims=True)
+    flat = hi == lo
+    num, den = m - lo, hi - lo + flat
+    at = np.arange(m.shape[-1])
+    at_lo, at_hi = at == m.argmin(axis=-1)[..., None], at == m.argmax(axis=-1)[..., None]
+
+    def backward(g):
+        g = g * ~flat
+        g_num = g / den
+        g_den = (-g * num / (den * den)).sum(axis=-1, keepdims=True)
+        g_lo = (-g_num).sum(axis=-1, keepdims=True) + -g_den
+        _accumulate(a, (g_num + at_lo * g_lo + at_hi * g_den) * keep)
+
+    return _make(num / den * ~flat, (a,), backward)
 
 
 def layer_norm_values(x: np.ndarray, gain, bias, eps: float = 1e-5):

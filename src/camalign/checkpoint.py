@@ -68,7 +68,10 @@ def load_params(path) -> dict:
     params = {}
     for index in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: record {index} name is not UTF-8 ({err.reason})") from err
         if name in params:
             raise CheckpointError(f"{path}: record {index} repeats the name {name!r}")
         (ndim,) = struct.unpack("<B", take(1, f"{name} rank"))

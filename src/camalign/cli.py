@@ -18,7 +18,7 @@ from .checkpoint import load_params
 from .config import VARIANTS, ConfigError, RunConfig, load_config, to_flat
 from .data import (DataError, GLYPH_NAMES, SyntheticSpec, Vocab,
                    generate_synthetic, load_dataset, read_jsonl, require_field,
-                   save_alignment, save_dataset, split_dataset, tokenize)
+                   require_id, save_alignment, save_dataset, split_dataset, tokenize)
 from .metrics import evaluate_corpus
 from .saliency import normalize_map
 from .training import TrainingDiverged, evaluate_split, generate_report, run_model, train
@@ -162,15 +162,15 @@ def _reference_list(where: str, record: dict) -> list:
 def cmd_evaluate(args) -> int:
     candidates, references = {}, {}
     for where, record in read_jsonl(args.candidates):
-        candidate = _text(where, record, "candidate")
-        _put_once(candidates, where, require_field(where, record, "id"), candidate)
+        sample_id, candidate = require_id(where, record), _text(where, record, "candidate")
+        _put_once(candidates, where, sample_id, candidate)
         if not args.references:
-            references[record["id"]] = _reference_list(where, record)
+            references[sample_id] = _reference_list(where, record)
     if args.references:
         for where, record in read_jsonl(args.references):
             refs = (_reference_list(where, record) if record.get("references")
                     else [_text(where, record, "report")])
-            _put_once(references, where, require_field(where, record, "id"), refs)
+            _put_once(references, where, require_id(where, record), refs)
         missing = sorted(set(candidates) ^ set(references))
         if missing:
             raise DataError(f"candidate/reference id mismatch: {missing}")

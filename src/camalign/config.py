@@ -71,7 +71,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         m, t, v = self.model, self.train, self.vtac
-        if m.layers < 0 or min(m.heads, m.dim, m.feat_dim, m.patch, m.classes) < 1:
+        if min(m.layers, m.heads, m.dim, m.feat_dim, m.patch, m.classes) < 1:
             raise ConfigError("model.layers/heads/dim/feat_dim/patch/classes out of range")
         if m.dim % m.heads != 0:
             raise ConfigError(f"model.dim ({m.dim}) must be divisible by model.heads ({m.heads})")

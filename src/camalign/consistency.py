@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, add, cosine, div, mul, relu,
-                       sub, tmax, tmin, tsum)
+from .autodiff import (ContractError, ShapeError, Tensor, cosine, minmax, mul, relu, sub,
+                       tmax, tsum)
 
 def word_similarities(embeddings: Tensor, summary: Tensor) -> Tensor:
     """Cosine similarity of each word embedding to the summary vector, (..., T).
@@ -50,18 +50,16 @@ def select_important_words(sims: Tensor, content, k: float) -> np.ndarray:
 def textual_map(attention: Tensor, sims: Tensor, selected: np.ndarray) -> Tensor:
     """Weighted max-pool of the selected words' normalised attention rows.
 
-    Each selected row is ReLU'd and min-max normalised (a row that is
-    constant after the ReLU becomes zeros, with zero gradient), scaled by its
+    Each selected row is ReLU'd and min-max normalised by ``minmax`` (a row
+    that is constant after the ReLU becomes zeros, with zero gradient), as
+    ``saliency.normalize_map`` does for the class maps, scaled by its
     word weight ReLU(similarity), then pooled elementwise-max into a single
     map over visual tokens.
     """
     if selected.size == 0:
         raise ContractError("textual map needs at least one selected word")
     rows = np.indices(selected.shape, sparse=True)[:-1] + (selected,)   # each sample's own rows
-    active = relu(attention[rows])                                      # (..., gamma, N)
-    lo, hi = tmin(active, axis=-1, keepdims=True), tmax(active, axis=-1, keepdims=True)
-    flat = hi.data == lo.data                                           # (..., gamma, 1)
-    normd = mul(div(sub(active, lo), add(sub(hi, lo), flat)), ~flat)
+    normd = minmax(attention[rows])                                     # (..., gamma, N)
     weights = relu(sims[tuple(r[..., None] for r in rows)])             # (..., gamma, 1)
     return tmax(mul(normd, weights), axis=-2)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, mean, transpose
+from .autodiff import Tensor, matmul, mean, minmax, transpose
 
 PRESENCE_THRESHOLD = 0.5
 
@@ -51,11 +51,9 @@ def class_activation_map(feats: np.ndarray, class_head: np.ndarray, class_idx: i
 
 
 def normalize_map(raw: np.ndarray) -> np.ndarray:
-    """ReLU then min-max to [0, 1] over the last axis; constant-after-ReLU maps become all zeros."""
-    m = np.maximum(raw, 0.0)
-    lo, hi = m.min(axis=-1, keepdims=True), m.max(axis=-1, keepdims=True)
-    flat = hi == lo
-    return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, hi - lo))
+    """ReLU then min-max to [0, 1] over the last axis; constant-after-ReLU maps become all zeros.
+    The values of ``autodiff.minmax``, which also normalises the textual map's rows."""
+    return minmax(raw).data
 
 
 @dataclass

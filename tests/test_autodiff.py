@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from camalign import autodiff as ad
 from camalign.autodiff import (ContractError, ShapeError, Tensor, backward,
                                add, concat, cosine, gather_rows, grad_of, layer_norm,
-                               linear, log_softmax, matmul, mean, relu, reshape, softmax,
-                               tmax, tmin, trace, transpose, tsum)
+                               linear, log_softmax, matmul, mean, minmax, relu, reshape,
+                               softmax, tmax, trace, transpose, tsum)
+from camalign.saliency import normalize_map
 from conftest import check_grads
 
 
@@ -120,6 +121,42 @@ def test_relu_cases():
     assert np.array_equal(relu(Tensor([-3.0, -0.5])).data, [0.0, 0.0])
     x = np.array([1.0, 2.5])
     assert np.array_equal(relu(Tensor(x)).data, x)
+
+
+def test_minmax_flat_and_all_negative_rows_are_zeros_with_zero_gradient(rng):
+    x = Tensor([[2.0, 2.0, 2.0], [-1.0, -3.0, 0.0], [-1.0, 1.0, 3.0]], requires_grad=True)
+    out = minmax(x)
+    backward(tsum(out * rng.normal(size=(3, 3))))
+    assert np.array_equal(out.data, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1 / 3, 1.0]])
+    assert np.array_equal(x.grad[:2], np.zeros((2, 3))) and x.grad[2, 1:].all()
+
+
+def test_minmax_tied_row_routes_to_the_first_min_and_first_max():
+    """(x - 1) / 2 on [1, 3, 1, 3, 2]: each entry gets 1/2 from the numerator;
+    the first min also gets d/d(lo) = -1.25 and the first max d/d(hi) = -1.25."""
+    x = Tensor([1.0, 3.0, 1.0, 3.0, 2.0], requires_grad=True)
+    out = minmax(x)
+    backward(tsum(out))
+    assert np.array_equal(out.data, [0.0, 1.0, 0.0, 1.0, 0.5])
+    assert np.array_equal(x.grad, [-0.75, -0.75, 0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_normalize_map_is_minmax_bit_for_bit(dtype, rng):
+    """One ReLU + min-max: the class maps' ``normalize_map`` is ``minmax``'s
+    values, which equal the textbook formula; a float32 graph stays float32."""
+    x = (rng.normal(size=(2, 3, 5)) * 3).astype(dtype)
+    x[0, 0] = 1.5                                                  # a flat row
+    x[0, 1] = -np.abs(x[0, 1])                                     # an all-negative row
+    t = Tensor(x, requires_grad=True)
+    out = minmax(t)
+    backward(tsum(out * rng.normal(size=x.shape).astype(dtype)))
+    m = np.maximum(x, 0.0)
+    lo, hi = m.min(axis=-1, keepdims=True), m.max(axis=-1, keepdims=True)
+    textbook = np.where(hi == lo, 0.0, (m - lo) / np.where(hi == lo, 1.0, hi - lo))
+    assert out.data.dtype == t.grad.dtype == normalize_map(x).dtype == dtype
+    assert normalize_map(x).tobytes() == out.data.tobytes()
+    assert np.array_equal(out.data, textbook)
 
 
 def test_layer_norm_constant_vector_is_zero():
@@ -290,7 +327,6 @@ PRIMITIVE_CASES = [
     ("add_broadcast", lambda a, b: a + b, (2, 3), (3,)),
     ("sub", lambda a, b: a - b, (2, 3), (2, 3)),
     ("mul_broadcast", lambda a, b: a * b, (2, 3), (1, 3)),
-    ("div", lambda a, b: a / (b * b + 1.0), (2, 3), (2, 3)),
     ("matmul", matmul, (2, 3), (3, 4)),
     ("matmul_stacked", matmul, (3, 2, 4), (3, 4, 5)),         # (H,T,d) @ (H,d,S)
     ("matmul_shared", matmul, (2, 3, 4), (4, 5)),             # (B,T,D) @ one weight
@@ -320,8 +356,8 @@ UNARY_CASES = [
     ("sum_keepdims", lambda t: tsum(t, axis=0, keepdims=True), lambda r: r.normal(size=(3, 4))),
     ("mean", lambda t: mean(t, axis=1, keepdims=True), lambda r: r.normal(size=(3, 4))),
     ("max_axis", lambda t: tmax(t, axis=1), lambda r: r.normal(size=(3, 5))),
-    ("min_axis", lambda t: tmin(t, axis=0), lambda r: r.normal(size=(3, 5))),
     ("max_all", tmax, lambda r: r.normal(size=(4,))),
+    ("minmax", minmax, lambda r: r.normal(size=(2, 3, 5)) + 0.3),
     ("transpose", transpose, lambda r: r.normal(size=(2, 4))),
     ("reshape", lambda t: reshape(t, (4, 2)), lambda r: r.normal(size=(2, 4))),
     ("getitem", lambda t: t[1:3, ::2], lambda r: r.normal(size=(4, 5))),
@@ -507,5 +543,5 @@ def test_every_primitive_has_a_gradient_check(monkeypatch, rng):
     missing = sorted(name for name in _node_builders() - built
                      if not any(re.fullmatch(rf"test_(\w+_)?{name}_gradients?(_\w+)?", n)
                                 for n in named))
-    assert _node_builders() >= {"layer_norm", "cosine", "softmax", "_extremum", "linear"}
+    assert _node_builders() >= {"layer_norm", "cosine", "softmax", "tmax", "minmax", "linear"}
     assert not missing, f"primitives without a finite-difference check: {missing}"

@@ -193,6 +193,7 @@ def test_evaluate_mismatched_ids_listed(tmp_path, capsys):
     ('{not json', "malformed JSON"),
     ('["b", "x"]', "expected a JSON object"),
     ('{"id": "b", "candidate": 5, "references": ["x"]}', "field 'candidate' must be a string"),
+    ('{"id": [1], "candidate": "x", "references": ["x"]}', "field 'id' must be a string, got [1]"),
     ('{"id": "b", "candidate": "x", "references": "there is a dot"}',
      "field 'references' must be a list of strings"),
     ('{"id": "b", "candidate": "x", "references": ["x", 3]}',
@@ -224,6 +225,7 @@ def test_evaluate_repeated_id_names_path_and_line(tmp_path, capsys, repeated, wi
 @pytest.mark.parametrize("second, message", [
     ('{"id": "b", "report": ["there is a dot"]}', "field 'report' must be a string"),
     ('{"id": "b", "references": "there is a dot"}', "field 'references' must be a list of strings"),
+    ('{"id": {"a": 1}, "report": "x"}', "field 'id' must be a string, got {'a': 1}"),
 ])
 def test_evaluate_wrong_reference_file_type_names_path_and_line(tmp_path, capsys, second, message):
     cands = tmp_path / "c.jsonl"

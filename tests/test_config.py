@@ -72,7 +72,7 @@ def test_save_echo_roundtrip(tmp_path):
     assert to_flat(again) == to_flat(cfg)
 
 
-@pytest.mark.parametrize("key", ["model.heads", "model.dim", "model.feat_dim"])
+@pytest.mark.parametrize("key", ["model.heads", "model.dim", "model.feat_dim", "model.layers"])
 def test_zero_width_is_a_config_error_not_a_division(key):
     with pytest.raises(ConfigError, match=key.split(".")[1]):
         load_config(None, {key: 0})

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -198,6 +199,15 @@ def test_checkpoint_rejects_a_repeated_record_name(tmp_path):
     path.write_bytes(b"FTAR" + struct.pack("<BI", 1, 2)
                      + record + struct.pack("<d", 1.0) + record + struct.pack("<d", 2.0))
     with pytest.raises(CheckpointError, match=r"record 1 repeats the name 'w'$"):
+        load_params(path)
+
+
+def test_checkpoint_rejects_a_record_name_that_is_not_utf8(tmp_path):
+    record = struct.pack("<BI", 1, 1) + struct.pack("<d", 1.0)
+    path = tmp_path / "latin.bin"
+    path.write_bytes(b"FTAR" + struct.pack("<BI", 1, 2) + struct.pack("<H", 1) + b"w" + record
+                     + struct.pack("<H", 2) + b"\xffw" + record)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: record 1 name is not UTF-8"):
         load_params(path)
 
 
