@@ -386,10 +386,83 @@ def softmax(a, mask=None, scale: float = 1.0) -> Tensor:
     p = softmax_values(a.data * scale, mask)
 
     def backward(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _accumulate(a, p * (g - inner) * scale)
+        _accumulate(a, _softmax_grad(p, g, scale))
 
     return _make(p, (a,), backward)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray, scale: float) -> np.ndarray:
+    """The gradient at ``x`` of probabilities ``p = softmax(x * scale)`` that receive ``g``."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - inner) * scale
+
+
+def _head_order(ndim: int, keys_last: bool) -> tuple:
+    """Axes from rows split into heads, (..., T, H, d), to (..., H, T, d) or (..., H, d, T)."""
+    n = ndim - 2
+    return (*range(n), n + 1, n + 2, n) if keys_last else (*range(n), n + 1, n, n + 2)
+
+
+def _split_heads(x: np.ndarray, heads: int, keys_last: bool = False) -> np.ndarray:
+    """Rows (..., T, D) as a view per head, (..., H, T, d) or, keys last, (..., H, d, T)."""
+    return x.reshape(*x.shape[:-1], heads, -1).transpose(_head_order(x.ndim, keys_last))
+
+
+def _merge_heads(x: np.ndarray, shape: tuple, keys_last: bool = False) -> np.ndarray:
+    """``_split_heads`` undone: per-head rows back to rows of ``shape`` (..., T, D)."""
+    return x.transpose(np.argsort(_head_order(len(shape), keys_last))).reshape(shape)
+
+
+def attention_probs(q, k, heads: int, scale: float, mask=None) -> Tensor:
+    """Per-head ``softmax_values((q_h @ k_h^T) * scale, mask)`` of rows q (..., T, D)
+    over rows k (..., S, D), as one (..., H, T, S) node.
+
+    Values and gradients equal ``softmax(matmul(q_h, k_h), mask, scale)`` on
+    contiguous head copies bit for bit.  Only the probabilities stay on the
+    graph: the raw scores are a temporary, and backward rebuilds the head copies.
+    """
+    q, k = as_tensor(q), as_tensor(k)
+    if (q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1] or heads < 1 or q.shape[-1] % heads):
+        raise ShapeError(f"attention_probs needs (...,T,D) and (...,S,D) with D divisible "
+                         f"by {heads} heads, got {q.shape} and {k.shape}")
+    p = softmax_values(
+        (_split_heads(q.data, heads).copy() @ _split_heads(k.data, heads, True).copy()) * scale, mask)
+
+    def backward(g):
+        g = _softmax_grad(p, g, scale)
+        if q.requires_grad:
+            keys = _split_heads(k.data, heads, True).copy().swapaxes(-1, -2)
+            _accumulate(q, _merge_heads(g @ keys, q.shape))
+        if k.requires_grad:
+            queries = _split_heads(q.data, heads).copy().swapaxes(-1, -2)
+            _accumulate(k, _merge_heads(queries @ g, k.shape, True))
+
+    return _make(p, (q, k), backward)
+
+
+def mix_heads(p, v) -> Tensor:
+    """Probabilities p (..., H, T, S) mix the head copies of rows v (..., S, D):
+    merged rows (..., T, D), as one node.
+
+    Values and gradients equal merging ``matmul(p, v_h)`` back into rows bit
+    for bit; backward rebuilds the head copies of ``v``.
+    """
+    p, v = as_tensor(p), as_tensor(v)
+    if (p.ndim < 3 or v.ndim != p.ndim - 1 or p.shape[:-3] != v.shape[:-2]
+            or p.shape[-1] != v.shape[-2] or p.shape[-3] < 1 or v.shape[-1] % p.shape[-3]):
+        raise ShapeError(f"mix_heads needs (...,H,T,S) and (...,S,D) with D divisible by H, "
+                         f"got {p.shape} and {v.shape}")
+    heads, shape = p.shape[-3], (*p.shape[:-3], p.shape[-2], v.shape[-1])
+
+    def backward(g):
+        g = _split_heads(g, heads)
+        if p.requires_grad:
+            _accumulate(p, g @ _split_heads(v.data, heads).copy().swapaxes(-1, -2))
+        if v.requires_grad:
+            _accumulate(v, _merge_heads(p.data.swapaxes(-1, -2) @ g, v.shape))
+
+    return _make(_merge_heads(p.data @ _split_heads(v.data, heads).copy(), shape), (p, v), backward)
 
 
 def log_softmax_values(x: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, add, gather_rows,
+from .autodiff import (ContractError, ShapeError, Tensor, add, attention_probs, gather_rows,
                        layer_norm, layer_norm_values, linear, log_softmax, log_softmax_values,
-                       matmul, mean, relu, reshape, softmax, softmax_values, transpose)
+                       mean, mix_heads, relu, reshape, softmax_values, transpose)
 from .config import ModelSection
 
 
@@ -95,7 +95,9 @@ class PatchExtractor:
 class MultiHeadAttention:
     """Scaled dot-product attention, all heads (and samples) in one batched product.
 
-    Returns the output, (..., T, D), and the per-head scores as one (..., H, T, S) tensor.
+    Between the projections the graph holds two nodes: ``attention_probs``,
+    which keeps only the per-head probabilities, and ``mix_heads``.  Returns
+    the output, (..., T, D), and the probabilities as one (..., H, T, S) tensor.
     """
 
     def __init__(self, dim: int, heads: int, rng):
@@ -115,17 +117,12 @@ class MultiHeadAttention:
         return {f"{prefix}.{n}": getattr(self, n) for n in names}
 
     def __call__(self, query: Tensor, keys: Tensor, values: Tensor, mask=None):
-        n = query.ndim - 2                          # leading batch axes
-        split = (*query.shape[:n], -1, self.heads, self.head_dim)
-        swap = (*range(n), n + 1, n, n + 2)         # (..., T, H, d) <-> (..., H, T, d)
-        q = transpose(reshape(linear(query, self.wq, self.bq), split), swap)   # (...,H,T,d)
-        k = transpose(reshape(linear(keys, self.wk, self.bk), split),
-                      (*range(n), n + 1, n + 2, n))                           # (...,H,d,S)
-        v = transpose(reshape(linear(values, self.wv, self.bv), split), swap)  # (...,H,S,d)
+        q = linear(query, self.wq, self.bq)
+        k = linear(keys, self.wk, self.bk)
+        v = linear(values, self.wv, self.bv)
         # one softmax for every head; a (T, T) causal mask broadcasts over H and the batch
-        scores = softmax(matmul(q, k), mask=mask, scale=self.scale)
-        mixed = reshape(transpose(matmul(scores, v), swap), (*query.shape[:n], -1, self.dim))
-        return linear(mixed, self.wo, self.bo), scores
+        scores = attention_probs(q, k, self.heads, self.scale, mask)
+        return linear(mix_heads(scores, v), self.wo, self.bo), scores
 
 
 class FeedForward:

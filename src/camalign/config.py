@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .data import RESERVED
+
 
 class ConfigError(ValueError):
     pass
@@ -27,7 +29,7 @@ class ModelSection:
     patch: int = 4           # patch side length in pixels
     feat_dim: int = 128      # patch feature channels C
     classes: int = 14        # label classes for the classification head
-    vocab_max: int = 2000    # vocabulary cap (most frequent kept)
+    vocab_max: int = 2000    # vocabulary cap, reserved tokens included (most frequent kept)
     max_len: int = 40        # accepted but not read; saved configs set it
     pos_enc: bool = True     # sinusoidal position encodings
 
@@ -73,6 +75,9 @@ class RunConfig:
         m, t, v = self.model, self.train, self.vtac
         if min(m.layers, m.heads, m.dim, m.feat_dim, m.patch, m.classes) < 1:
             raise ConfigError("model.layers/heads/dim/feat_dim/patch/classes out of range")
+        if m.vocab_max <= len(RESERVED):
+            raise ConfigError(f"model.vocab_max must exceed the {len(RESERVED)} reserved tokens, "
+                              f"got {m.vocab_max}")
         if m.dim % m.heads != 0:
             raise ConfigError(f"model.dim ({m.dim}) must be divisible by model.heads ({m.heads})")
         if t.variant not in VARIANTS:

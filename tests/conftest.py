@@ -39,3 +39,17 @@ def check_grads(build_loss, params, h: float = 1e-5, tol: float = 1e-6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def composed_attention(q, k, v, heads: int, scale: float, mask=None):
+    """The op chain ``attention_probs`` and ``mix_heads`` replace, on rows (..., T, D):
+    contiguous head copies, one product, the scaled softmax, one product, heads merged.
+    Returns the probabilities and the merged rows."""
+    n = q.ndim - 2
+    split = (*q.shape[:n], -1, heads, q.shape[-1] // heads)
+    swap = (*range(n), n + 1, n, n + 2)
+    qh = ad.transpose(ad.reshape(q, split), swap)
+    kh = ad.transpose(ad.reshape(k, split), (*range(n), n + 1, n + 2, n))
+    vh = ad.transpose(ad.reshape(v, split), swap)
+    p = ad.softmax(ad.matmul(qh, kh), mask=mask, scale=scale)
+    return p, ad.reshape(ad.transpose(ad.matmul(p, vh), swap), (*q.shape[:n], -1, q.shape[-1]))

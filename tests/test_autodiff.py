@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from camalign import autodiff as ad
 from camalign.autodiff import (ContractError, ShapeError, Tensor, backward,
-                               add, concat, cosine, gather_rows, grad_of, layer_norm,
-                               linear, log_softmax, matmul, mean, minmax, relu, reshape,
-                               softmax, tmax, trace, transpose, tsum)
+                               add, attention_probs, concat, cosine, gather_rows, grad_of,
+                               layer_norm, linear, log_softmax, matmul, mean, minmax, mix_heads,
+                               relu, reshape, softmax, tmax, trace, transpose, tsum)
 from camalign.saliency import normalize_map
-from conftest import check_grads
+from conftest import check_grads, composed_attention
 
 
 # -- primitive semantics -------------------------------------------------------
@@ -421,6 +421,98 @@ def test_scaled_softmax_is_softmax_of_the_scaled_scores_bit_for_bit(rng):
             assert np.array_equal(fused, composed)
 
 
+# (query rows, key rows, heads, causal): T != S with one head, a batch axis with
+# several heads, and a causal (T, T) mask broadcast over heads and the batch
+ATTENTION_CASES = [
+    ((3, 4), (5, 4), 1, False),
+    ((2, 3, 6), (2, 5, 6), 3, False),
+    ((2, 4, 6), (2, 4, 6), 2, True),
+]
+ATTENTION_IDS = ["one_head", "batched_heads", "causal"]
+
+
+def _causal(rows, causal):
+    return np.tril(np.ones((rows, rows), dtype=bool)) if causal else None
+
+
+@pytest.mark.parametrize("constant", [None, 0, 1], ids=["both", "q_constant", "k_constant"])
+@pytest.mark.parametrize("q_shape,k_shape,heads,causal", ATTENTION_CASES, ids=ATTENTION_IDS)
+def test_attention_probs_gradient(q_shape, k_shape, heads, causal, constant, rng):
+    q, k = (Tensor(rng.normal(size=s) * 2, requires_grad=i != constant)
+            for i, s in enumerate((q_shape, k_shape)))
+    mask = _causal(q_shape[-2], causal)
+    w = Tensor(rng.normal(size=(*q_shape[:-2], heads, q_shape[-2], k_shape[-2])))
+    check_grads(lambda: tsum(attention_probs(q, k, heads, 0.35, mask) * w),
+                [t for t in (q, k) if t.requires_grad])
+    assert [t.grad is None for t in (q, k)] == [i == constant for i in range(2)]
+
+
+@pytest.mark.parametrize("constant", [None, 0, 1], ids=["both", "p_constant", "v_constant"])
+@pytest.mark.parametrize("q_shape,k_shape,heads,causal", ATTENTION_CASES, ids=ATTENTION_IDS)
+def test_mix_heads_gradient(q_shape, k_shape, heads, causal, constant, rng):
+    p_shape = (*q_shape[:-2], heads, q_shape[-2], k_shape[-2])
+    p, v = (Tensor(rng.normal(size=s), requires_grad=i != constant)
+            for i, s in enumerate((p_shape, k_shape)))
+    w = Tensor(rng.normal(size=q_shape))
+    check_grads(lambda: tsum(mix_heads(p, v) * w), [t for t in (p, v) if t.requires_grad])
+    assert [t.grad is None for t in (p, v)] == [i == constant for i in range(2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("q_shape,k_shape,heads,causal", ATTENTION_CASES, ids=ATTENTION_IDS)
+def test_attention_nodes_are_the_composed_chain_bit_for_bit(q_shape, k_shape, heads, causal,
+                                                             dtype, rng):
+    """The probabilities, the merged rows and every input's gradient equal the
+    chain's byte for byte; the probabilities also feed the loss directly, as
+    the cross-attention does, so they receive two gradients."""
+    arrays = [(rng.normal(size=s) * 2).astype(dtype) for s in (q_shape, k_shape, k_shape)]
+    mask = _causal(q_shape[-2], causal)
+    g_out = rng.normal(size=q_shape).astype(dtype)
+    g_p = rng.normal(size=(*q_shape[:-2], heads, q_shape[-2], k_shape[-2])).astype(dtype)
+
+    def fused(q, k, v):
+        p = attention_probs(q, k, heads, 0.35, mask)
+        return p, mix_heads(p, v)
+
+    results = []
+    for build in (fused, lambda q, k, v: composed_attention(q, k, v, heads, 0.35, mask)):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        p, out = build(*inputs)
+        backward(tsum(out * g_out) + tsum(p * g_p))
+        results.append([p.data, out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results, strict=True):
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q_shape,k_shape,heads", [
+    ((3, 4), (5, 6), 2),           # widths differ
+    ((2, 3, 4), (3, 5, 4), 2),     # leading axes differ
+    ((3, 4), (2, 5, 4), 2),        # a missing leading axis
+    ((3, 6), (5, 6), 4),           # width not divisible by the heads
+])
+def test_attention_probs_shape_error_names_both_shapes(q_shape, k_shape, heads):
+    pattern = rf"{re.escape(str(q_shape))}.*{re.escape(str(k_shape))}"
+    with pytest.raises(ShapeError, match=pattern):
+        attention_probs(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), heads, 1.0)
+
+
+@pytest.mark.parametrize("p_shape,v_shape", [
+    ((2, 3, 5), (4, 6)),           # the key axis differs from v's rows
+    ((2, 2, 3, 5), (3, 5, 6)),     # leading axes differ
+    ((4, 3, 5), (5, 6)),           # width not divisible by the heads
+])
+def test_mix_heads_shape_error_names_both_shapes(p_shape, v_shape):
+    pattern = rf"{re.escape(str(p_shape))}.*{re.escape(str(v_shape))}"
+    with pytest.raises(ShapeError, match=pattern):
+        mix_heads(Tensor(np.zeros(p_shape)), Tensor(np.zeros(v_shape)))
+
+
+def test_attention_probs_mask_that_removes_a_whole_row_is_a_contract_error():
+    mask = np.array([[True, False], [False, False]])
+    with pytest.raises(ContractError, match="entire row"):
+        attention_probs(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), 2, 1.0, mask)
+
 def test_getitem_repeated_indices_accumulate():
     t = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     backward(tsum(t[[0, 0, 2]]))
@@ -543,5 +635,6 @@ def test_every_primitive_has_a_gradient_check(monkeypatch, rng):
     missing = sorted(name for name in _node_builders() - built
                      if not any(re.fullmatch(rf"test_(\w+_)?{name}_gradients?(_\w+)?", n)
                                 for n in named))
-    assert _node_builders() >= {"layer_norm", "cosine", "softmax", "tmax", "minmax", "linear"}
+    assert _node_builders() >= {"layer_norm", "cosine", "softmax", "tmax", "minmax", "linear",
+                                "attention_probs", "mix_heads"}
     assert not missing, f"primitives without a finite-difference check: {missing}"

@@ -78,6 +78,14 @@ def test_zero_width_is_a_config_error_not_a_division(key):
         load_config(None, {key: 0})
 
 
+@pytest.mark.parametrize("value", [4, 0])
+def test_a_vocabulary_cap_with_room_for_no_word_is_a_config_error(value):
+    """The four reserved tokens fill a cap of 4 or less, so every word would be ``<unk>``."""
+    with pytest.raises(ConfigError, match=r"model\.vocab_max"):
+        load_config(None, {"model.vocab_max": value})
+    assert load_config(None, {"model.vocab_max": 5}).model.vocab_max == 5
+
+
 @pytest.mark.parametrize("key, value", [
     ("model.dim", 64.7), ("model.dim", 64.0), ("train.epochs", True), ("model.dim", "abc"),
     ("model.dim", "64.5"), ("model.dim", None), ("train.lr_ed", False), ("train.lr_ed", "fast"),

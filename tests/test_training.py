@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from camalign import autodiff, training
-from camalign.autodiff import backward, grad_of, trace, zero_grads
+from camalign.autodiff import backward, grad_of, linear, trace, zero_grads
+from camalign.backbone import MultiHeadAttention
 from camalign.cli import _load_run
 from camalign.config import ConfigError, load_config
 from camalign.data import (BOS, Sample, SyntheticSpec, build_vocab, generate_synthetic,
@@ -17,6 +18,7 @@ from camalign.model import build_model
 from camalign.optim import Adam
 from camalign.training import (TrainingDiverged, TrainState, evaluate_split, run_model,
                                sample_losses, train, train_step)
+from conftest import composed_attention
 
 MICRO = {"model.layers": 1, "model.heads": 2, "model.dim": 8,
          "model.feat_dim": 6, "model.patch": 4, "model.classes": 3,
@@ -239,9 +241,10 @@ def test_a_batch_builds_one_graph():
 
 
 def test_a_batch_graph_keeps_no_bias_free_product_or_unscaled_softmax_input():
-    """Every projection is one ``linear`` node and every attention scale sits
-    inside its ``softmax``: no ``add`` takes a ``matmul`` output and a 1-D
-    parameter, and no ``mul`` by a constant feeds a ``softmax``."""
+    """Every projection is one ``linear`` node and every attention is two nodes
+    between its projections: no ``add`` takes a ``matmul`` output and a 1-D
+    parameter, each ``attention_probs`` reads two projections, and no
+    ``softmax`` node (nor its input scores) is left."""
     samples, vocab = mixed_batch((1,))
     cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
                        "train.delta": 0.5, "vtac.k": 0.3})
@@ -254,16 +257,16 @@ def test_a_batch_graph_keeps_no_bias_free_product_or_unscaled_softmax_input():
     nodes = trace(sample_losses(model, samples, vocab, cfg)[1]).nodes
     ops = Counter(op(node) for node in nodes)
     # extractor, encoder input, two encoder and two decoder blocks (four per attention, two
-    # per FFN), vocabulary output; one softmax per encoder block and two per decoder block
+    # per FFN), vocabulary output; one attention per encoder block and two per decoder block
     assert ops["linear"] == 2 + 1 + 2 * (4 + 2) + 2 * (4 + 4 + 2) + 1
-    assert ops["softmax"] == 2 * 1 + 2 * 2
+    assert ops["attention_probs"] == ops["mix_heads"] == 2 * 1 + 2 * 2
+    assert ops["softmax"] == 0
     for node in nodes:
         if op(node) == "add":
             a, b = node._parents
             assert not (op(a) == "matmul" and id(b) in params and b.ndim == 1)
-        if op(node) == "softmax":
-            (scores,) = node._parents
-            assert op(scores) == "matmul"
+        if op(node) == "attention_probs":
+            assert [op(parent) for parent in node._parents] == ["linear", "linear"]
 
 
 # -- the releasing sweep ------------------------------------------------------------------
@@ -293,6 +296,17 @@ def test_the_releasing_sweep_gives_every_leaf_the_plain_sweeps_gradient(narrow):
             assert plain.dtype == released.dtype and np.array_equal(plain, released)
 
 
+def _step_peak(model, opt, samples, vocab, cfg) -> int:
+    """Bytes one ``train_step`` allocates at its peak, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_step(model, opt, samples, vocab, cfg)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_train_step_peak_falls_with_the_releasing_sweep(monkeypatch):
     """One micro step under tracemalloc: the step's own sweep against the plain one.
     The ratio of the two peaks reads about 0.65 from run to run."""
@@ -304,19 +318,35 @@ def test_a_train_step_peak_falls_with_the_releasing_sweep(monkeypatch):
                 (model.encdec_params(), cfg.train.lr_ed)])
     train_step(model, opt, samples, vocab, cfg)
 
-    def step_peak():
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            train_step(model, opt, samples, vocab, cfg)
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
-    releasing = step_peak()
+    releasing = _step_peak(model, opt, samples, vocab, cfg)
     monkeypatch.setattr(training, "backward", lambda loss, **_: backward(loss))
-    plain = step_peak()
+    plain = _step_peak(model, opt, samples, vocab, cfg)
     assert releasing < 0.75 * plain, (releasing, plain)
+
+
+def _composed_mha(self, query, keys, values, mask=None):
+    """``MultiHeadAttention.__call__`` with its two attention nodes as the op chain they replace."""
+    q = linear(query, self.wq, self.bq)
+    k = linear(keys, self.wk, self.bk)
+    v = linear(values, self.wv, self.bv)
+    scores, mixed = composed_attention(q, k, v, self.heads, self.scale, mask)
+    return linear(mixed, self.wo, self.bo), scores
+
+
+def test_a_train_step_peak_falls_with_the_two_attention_nodes(monkeypatch):
+    """One micro two-view step under tracemalloc: the two-node attention against
+    the op chain it replaced.  The ratio of the two peaks reads about 0.81 from run to run."""
+    samples, vocab = mixed_batch((2,))
+    cfg = micro_cfg(**{"train.variant": "base", "model.max_len": 20})
+    model = run_model(cfg, len(vocab))
+    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
+                (model.encdec_params(), cfg.train.lr_ed)])
+    train_step(model, opt, samples, vocab, cfg)
+
+    fused = _step_peak(model, opt, samples, vocab, cfg)
+    monkeypatch.setattr(MultiHeadAttention, "__call__", _composed_mha)
+    composed = _step_peak(model, opt, samples, vocab, cfg)
+    assert fused < 0.88 * composed, (fused, composed)
 
 
 # -- float32 runs ---------------------------------------------------------------------
