@@ -49,10 +49,8 @@ class Tensor:
         if arr.dtype != np.float32:
             arr = np.asarray(arr, dtype=np.float64)
         # Validated after every primitive; trips early on overflow
-        # instead of letting NaNs propagate into the optimiser.  Any NaN or
-        # inf makes the self-dot (one BLAS call) non-finite; finite values
-        # whose squares overflow fall through to the exact check.
-        if not np.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+        # instead of letting NaNs propagate into the optimiser.
+        if not _finite(arr):
             raise ContractError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -108,6 +106,13 @@ class Tensor:
         return tsum(self, axis=axis, keepdims=keepdims)
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every value is finite.  Any NaN or inf makes the self-dot (one
+    BLAS call) non-finite; finite values whose squares overflow fall through
+    to the exact check."""
+    return bool(np.isfinite(np.vdot(arr, arr)) or np.isfinite(arr).all())
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -130,14 +135,17 @@ def _make(data, parents, backward) -> Tensor:
     try:
         out = Tensor(data)
     except ContractError as err:
-        op = backward.__qualname__.split(".")[0]
-        shapes = ", ".join(str(p.shape) for p in parents)
-        raise ContractError(f"{op} produced non-finite values from {shapes}") from err
+        raise _non_finite(backward.__qualname__.split(".")[0], parents) from err
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+def _non_finite(op: str, parents) -> ContractError:
+    shapes = ", ".join(str(p.shape) for p in parents)
+    return ContractError(f"{op} produced non-finite values from {shapes}")
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -232,22 +240,53 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), backward)
 
 
+def _linear_operands(op: str, x, w, b) -> tuple:
+    """Rows ``(..., m, k)``, one weight ``(k, n)`` and a bias ``(n,)``, as tensors."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op} needs (...,m,k)x(k,n)+(n,), got {x.shape} x {w.shape} + {b.shape}")
+    return x, w, b
+
+
+def _linear_grads(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Accumulate the gradients of ``x @ w + b`` from the result's gradient ``g``."""
+    if b.requires_grad:
+        _accumulate(b, _unbroadcast(g, b.shape))
+    _product_grads(x, w, g)
+
+
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node: rows ``(..., m, k)``, one weight ``(k, n)``, bias ``(n,)``.
 
     Values and gradients equal ``add(matmul(x, w), b)`` bit for bit; the
     bias-free product is never kept.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear needs (...,m,k)x(k,n)+(n,), got {x.shape} x {w.shape} + {b.shape}")
+    x, w, b = _linear_operands("linear", x, w, b)
 
     def backward(g):
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-        _product_grads(x, w, g)
+        _linear_grads(x, w, b, g)
 
     return _make(x.data @ w.data + b.data, (x, w, b), backward)
+
+
+def linear_relu(x, w, b) -> Tensor:
+    """``relu(linear(x, w, b))`` as one node that keeps only its output.
+
+    Values and gradients equal the composed chain bit for bit: backward masks
+    with ``out > 0``, the same booleans as ``pre > 0``.  The pre-activation
+    is a temporary, screened as the chain's ``linear`` node screened it,
+    since the ReLU would turn NaN and -inf into 0.
+    """
+    x, w, b = _linear_operands("linear_relu", x, w, b)
+    pre = x.data @ w.data + b.data
+    if not _finite(pre):
+        raise _non_finite("linear_relu", (x, w, b))
+    out = np.where(pre > 0.0, pre, 0.0)
+
+    def backward(g):
+        _linear_grads(x, w, b, g * (out > 0.0))
+
+    return _make(out, (x, w, b), backward)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -518,24 +557,35 @@ def layer_norm_values(x: np.ndarray, gain, bias, eps: float = 1e-5):
     return normed * gain + bias, normed, std
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """``layer_norm_values`` on the graph, with the analytic backward (Ba et al. 2016)."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if x.shape[-1] < 2:
-        raise ShapeError(f"layer_norm needs at least 2 channels, got shape {x.shape}")
-    out, normed, std = layer_norm_values(x.data, gain.data, bias.data, eps)
+def layer_norm(x, gain, bias, residual=None, eps: float = 1e-5) -> Tensor:
+    """``layer_norm_values`` of ``x``, or of ``x + residual``, on the graph, with
+    the analytic backward (Ba et al. 2016).
+
+    The sum is a temporary, and both operands receive its gradient as ``add``
+    gives it, so values and gradients equal ``layer_norm(add(x, residual), ...)``
+    bit for bit.
+    """
+    inputs = (as_tensor(x),) if residual is None else _operands(x, residual)
+    gain, bias = as_tensor(gain), as_tensor(bias)
+    total = inputs[0].data if residual is None else inputs[0].data + inputs[1].data
+    if total.shape[-1] < 2:
+        raise ShapeError(f"layer_norm needs at least 2 channels, got shape {total.shape}")
+    out, normed, std = layer_norm_values(total, gain.data, bias.data, eps)
 
     def backward(g):
-        if x.requires_grad:
+        if any(t.requires_grad for t in inputs):
             gn = g * gain.data
-            _accumulate(x, (gn - gn.mean(axis=-1, keepdims=True)
-                            - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std)
+            g_in = (gn - gn.mean(axis=-1, keepdims=True)
+                    - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+            for t in inputs:
+                if t.requires_grad:
+                    _accumulate(t, _unbroadcast(g_in, t.shape))
         if gain.requires_grad:
             _accumulate(gain, _unbroadcast(g * normed, gain.shape))
         if bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.shape))
 
-    return _make(out, (x, gain, bias), backward)
+    return _make(out, (*inputs, gain, bias), backward)
 
 
 def cosine(a, b) -> Tensor:

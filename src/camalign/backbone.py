@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (ContractError, ShapeError, Tensor, add, attention_probs, gather_rows,
-                       layer_norm, layer_norm_values, linear, log_softmax, log_softmax_values,
-                       mean, mix_heads, relu, reshape, softmax_values, transpose)
+                       layer_norm, layer_norm_values, linear, linear_relu, log_softmax,
+                       log_softmax_values, mean, mix_heads, reshape, softmax_values, transpose)
 from .config import ModelSection
 
 
@@ -87,7 +87,7 @@ class PatchExtractor:
         if side % self.patch != 0:
             raise ShapeError(f"grid side {side} not divisible by patch {self.patch}")
         x = _blockify(Tensor(grids[..., None]), lead, side, self.p1)
-        x = relu(linear(x, self.w1, self.b1))
+        x = linear_relu(x, self.w1, self.b1)
         x = _blockify(x, lead, side // self.p1, self.p2)
         return linear(x, self.w2, self.b2)
 
@@ -138,7 +138,7 @@ class FeedForward:
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(relu(linear(x, self.w1, self.b1)), self.w2, self.b2)
+        return linear(linear_relu(x, self.w1, self.b1), self.w2, self.b2)
 
 
 class _Norm:
@@ -149,8 +149,9 @@ class _Norm:
     def params(self, prefix):
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, residual: Tensor) -> Tensor:
+        """The post-norm residual: ``layer_norm(x + residual)`` as one node."""
+        return layer_norm(x, self.gain, self.bias, residual)
 
 
 class EncoderBlock:
@@ -168,8 +169,8 @@ class EncoderBlock:
 
     def __call__(self, x: Tensor) -> Tensor:
         attended, _ = self.attn(x, x, x)
-        x = self.norm1(add(x, attended))
-        return self.norm2(add(x, self.ffn(x)))
+        x = self.norm1(x, attended)
+        return self.norm2(x, self.ffn(x))
 
 
 class Encoder:
@@ -225,10 +226,10 @@ class DecoderBlock:
 
     def __call__(self, x: Tensor, memory: Tensor, causal_mask):
         attended, _ = self.self_attn(x, x, x, mask=causal_mask)
-        x = self.norm1(add(x, attended))
+        x = self.norm1(x, attended)
         crossed, cross_scores = self.cross_attn(x, memory, memory)
-        x = self.norm2(add(x, crossed))
-        return self.norm3(add(x, self.ffn(x))), cross_scores
+        x = self.norm2(x, crossed)
+        return self.norm3(x, self.ffn(x)), cross_scores
 
 
 @dataclass

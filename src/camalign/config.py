@@ -82,6 +82,12 @@ class RunConfig:
             raise ConfigError(f"model.dim ({m.dim}) must be divisible by model.heads ({m.heads})")
         if t.variant not in VARIANTS:
             raise ConfigError(f"train.variant must be one of {VARIANTS}, got {t.variant!r}")
+        # every block layer-norms model.dim channels; vdmae and full also the summary's feat_dim
+        if m.dim < 2:
+            raise ConfigError(f"model.dim must be at least 2 for layer norm, got {m.dim}")
+        if t.variant != "base" and m.feat_dim < 2:
+            raise ConfigError(f"model.feat_dim must be at least 2 for layer norm in the "
+                              f"{t.variant} variant, got {m.feat_dim}")
         if not (0.0 < v.k <= 1.0):
             raise ConfigError(f"vtac.k must lie in (0, 1], got {v.k}")
         for key in ("lr_ve", "lr_ed", "lambda", "delta"):

@@ -106,14 +106,15 @@ def train_step(model: CaptionModel, opt: Adam, batch, vocab: Vocab, cfg: RunConf
     """One Adam step on the batch loss of ``sample_losses``; returns each sample's breakdown.
 
     The sweep releases each interior gradient once it is passed on, so only
-    the parameters keep gradients for Adam.  Only the float breakdowns leave,
-    so the batch's graph is freed on return.
+    the parameters keep gradients for Adam, and the batch's graph is freed
+    before Adam allocates its updates: only the float breakdowns leave.
     A ``ContractError`` leaves with ``.breakdowns``: as ``sample_losses`` set
     them, or every sample's when Adam raised.
     """
     breakdowns, loss = sample_losses(model, batch, vocab, cfg)
     opt.zero_grad()
     backward(loss, release=True)
+    del loss
     try:
         opt.step()
     except ContractError as err:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from camalign import autodiff as ad
 from camalign.autodiff import (ContractError, ShapeError, Tensor, backward,
                                add, attention_probs, concat, cosine, gather_rows, grad_of,
-                               layer_norm, linear, log_softmax, matmul, mean, minmax, mix_heads,
-                               relu, reshape, softmax, tmax, trace, transpose, tsum)
+                               layer_norm, linear, linear_relu, log_softmax, matmul, mean, minmax,
+                               mix_heads, relu, reshape, softmax, tmax, trace, transpose, tsum)
 from camalign.saliency import normalize_map
 from conftest import check_grads, composed_attention
 
@@ -405,6 +405,72 @@ def test_linear_rejects_mismatched_shapes():
             linear(x, Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
 
+def _off_the_kink(xw: np.ndarray, b: np.ndarray, margin: float = 0.05) -> np.ndarray:
+    """``b`` with each entry shifted until no pre-activation ``xw + b`` of its column
+    lies within ``margin`` of the ReLU kink."""
+    b = b.copy()
+    for j in range(b.size):
+        while np.abs(xw[..., j] + b[j]).min() < margin:
+            b[j] += margin
+    return b
+
+
+@pytest.mark.parametrize("shape_x", [(4, 3), (2, 4, 3)], ids=["rows", "batched"])
+def test_linear_relu_gradient(shape_x, rng):
+    x = Tensor(rng.normal(size=shape_x), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(_off_the_kink(x.data @ w.data, rng.normal(size=5)), requires_grad=True)
+    out = linear_relu(x, w, b).data
+    assert (out > 0).any() and (out == 0).any()
+    weights = Tensor(rng.normal(size=(*shape_x[:-1], 5)))
+    check_grads(lambda: tsum(linear_relu(x, w, b) * weights), [x, w, b])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape_x", [(4, 3), (2, 4, 3)], ids=["rows", "batched"])
+def test_linear_relu_is_relu_of_linear_bit_for_bit(shape_x, dtype, rng):
+    """One node, the same value and the same x, w and b gradients as
+    ``relu(linear(x, w, b))``.  A zero row of ``x`` against bias entries
+    0.0 and -0.0 gives exact-zero pre-activations (the product's +0.0 plus
+    -0.0 is +0.0, so ``x @ w + b`` reads no -0.0 here); ``x`` also feeds the
+    loss directly, so it receives two gradients."""
+    arrays = [rng.normal(size=s).astype(dtype) for s in (shape_x, (3, 5), (5,))]
+    arrays[0][..., 0, :] = 0.0
+    arrays[2][:2] = [0.0, -0.0]
+    pre = arrays[0] @ arrays[1] + arrays[2]
+    assert (pre[..., 0, :2] == 0).all() and (pre > 0).any() and (pre < 0).any()
+    g = rng.normal(size=(*shape_x[:-1], 5)).astype(dtype)
+    g_x = rng.normal(size=shape_x).astype(dtype)
+    results = []
+    for build in (linear_relu, lambda x, w, b: relu(linear(x, w, b))):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = build(x, w, b)
+        backward(tsum(out * g) + tsum(x * g_x))
+        results.append([out.data, x.grad, w.grad, b.grad])
+    for fused, composed in zip(*results, strict=True):
+        assert fused.dtype == composed.dtype == dtype
+        assert fused.shape == composed.shape and fused.tobytes() == composed.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("signs, want", [((1.0, -1.0), np.isnan), ((-1.0, -1.0), np.isneginf)],
+                         ids=["nan", "-inf"])
+def test_a_non_finite_pre_activation_names_linear_relu(signs, want, dtype):
+    """The ReLU would turn NaN and -inf into 0; the pre-activation is screened first.
+    Products that overflow with alternating signs sum to NaN in a vectorised
+    product (a fused multiply-add of one running sum would give inf)."""
+    big = np.sqrt(np.finfo(dtype).max) * 4
+    x = np.full((2, 64), big, dtype=dtype)
+    w = np.ones((64, 3), dtype=dtype)
+    w[:, 0] = np.resize(np.array(signs, dtype=dtype), 64) * big
+    assert want(x @ w)[:, 0].all()
+    with pytest.raises(ContractError, match=r"^linear_relu produced non-finite values "
+                                            r"from \(2, 64\), \(64, 3\), \(3,\)$"):
+        linear_relu(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                    Tensor(np.zeros(3, dtype=dtype), requires_grad=True))
+
+
 def test_scaled_softmax_is_softmax_of_the_scaled_scores_bit_for_bit(rng):
     mask = np.tril(np.ones((4, 4), dtype=bool))
     for dtype in (np.float64, np.float32):
@@ -578,6 +644,44 @@ def test_layer_norm_keeps_the_composed_op_order(rng):
     assert np.array_equal(layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data, composed)
 
 
+@pytest.mark.parametrize("constant", [None, 0, 1], ids=["both", "constant_x", "constant_residual"])
+def test_layer_norm_gradient_with_a_residual(constant, rng):
+    """The residual's sum is normalised; each operand that requires grad receives
+    its gradient, and a constant one keeps ``.grad`` None."""
+    x, residual = (Tensor(rng.normal(size=(2, 3, 6)), requires_grad=i != constant) for i in range(2))
+    gain = Tensor(rng.normal(size=6), requires_grad=True)
+    bias = Tensor(rng.normal(size=6), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 6)))
+    live = [t for i, t in enumerate((x, residual)) if i != constant]
+    check_grads(lambda: tsum(layer_norm(x, gain, bias, residual) * w), [*live, gain, bias])
+    ad.zero_grads([x, residual])
+    backward(tsum(layer_norm(x, gain, bias, residual) * w))
+    assert [t.grad is None for t in (x, residual)] == [i == constant for i in range(2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("same", [False, True], ids=["residual", "residual_is_x"])
+def test_layer_norm_of_a_residual_is_the_norm_of_add_bit_for_bit(same, dtype, rng):
+    """One node, the same value and every operand's gradient as
+    ``layer_norm(add(x, residual), ...)``, also when the residual is ``x``
+    itself; ``x`` also feeds the loss directly, so it receives two gradients."""
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((2, 3, 6), (2, 3, 6), (6,), (6,))]
+    g = rng.normal(size=(2, 3, 6)).astype(dtype)
+    g_x = rng.normal(size=(2, 3, 6)).astype(dtype)
+    results = []
+    for build in (lambda x, r, gain, bias: layer_norm(x, gain, bias, r),
+                  lambda x, r, gain, bias: layer_norm(add(x, r), gain, bias)):
+        x, r, gain, bias = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        if same:
+            r = x
+        out = build(x, r, gain, bias)
+        backward(tsum(out * g) + tsum(x * g_x))
+        results.append([out.data] + [t.grad for t in (x, r, gain, bias)])
+    for fused, composed in zip(*results, strict=True):
+        assert fused.dtype == composed.dtype == dtype
+        assert fused.shape == composed.shape and fused.tobytes() == composed.tobytes()
+
+
 def test_cosine_gradient_parallel_vectors(rng):
     summary = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     words = Tensor(np.concatenate([summary.data * 2.5, -summary.data, rng.normal(size=(1, 4))]),
@@ -636,5 +740,5 @@ def test_every_primitive_has_a_gradient_check(monkeypatch, rng):
                      if not any(re.fullmatch(rf"test_(\w+_)?{name}_gradients?(_\w+)?", n)
                                 for n in named))
     assert _node_builders() >= {"layer_norm", "cosine", "softmax", "tmax", "minmax", "linear",
-                                "attention_probs", "mix_heads"}
+                                "linear_relu", "attention_probs", "mix_heads"}
     assert not missing, f"primitives without a finite-difference check: {missing}"

@@ -78,6 +78,22 @@ def test_zero_width_is_a_config_error_not_a_division(key):
         load_config(None, {key: 0})
 
 
+@pytest.mark.parametrize("variant", ["base", "vdmae", "full"])
+def test_a_one_channel_width_is_a_config_error_before_layer_norm_sees_it(variant):
+    """Layer norm needs two channels: ``model.dim`` in every variant, and the
+    summary token's ``model.feat_dim`` in vdmae and full."""
+    with pytest.raises(ConfigError, match=r"model\.dim"):
+        load_config(None, {"model.dim": 1, "model.heads": 1, "train.variant": variant})
+    one_feature = {"model.feat_dim": 1, "train.variant": variant}
+    if variant == "base":
+        assert load_config(None, one_feature).model.feat_dim == 1
+    else:
+        with pytest.raises(ConfigError, match=r"model\.feat_dim"):
+            load_config(None, one_feature)
+    assert load_config(None, {"model.dim": 2, "model.heads": 1, "model.feat_dim": 2,
+                              "train.variant": variant}).model.dim == 2
+
+
 @pytest.mark.parametrize("value", [4, 0])
 def test_a_vocabulary_cap_with_room_for_no_word_is_a_config_error(value):
     """The four reserved tokens fill a cap of 4 or less, so every word would be ``<unk>``."""
