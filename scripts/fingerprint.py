@@ -11,7 +11,8 @@ criterion-8 profile (run seed 5, data seed 5, 140 train / 20 validation
 samples, 2 epochs, patience 2), then decodes 8 held-out samples with beam 3
 and writes them to ``beam3.txt`` in its run dir.  One line per variant gives the first 16 hex digits of the sha256 of
 ``metrics.jsonl``, ``checkpoint_best.bin``, ``checkpoint_last.bin`` and the
-beam-3 candidates joined by newlines.
+beam-3 candidates joined by newlines.  A last line counts the lines of
+``src/camalign/*.py`` plus ``scripts/*.py``, the project's line budget.
 
 ``--against DIR`` names an earlier ``--out`` directory.  For each variant it
 then also prints the largest absolute difference of any numeric
@@ -99,6 +100,9 @@ def main() -> int:
                   f"{bytes_same}")
             if not same or math.isinf(drift):
                 status = 1
+    root = Path(__file__).resolve().parent.parent
+    sources = [*root.glob("src/camalign/*.py"), *root.glob("scripts/*.py")]
+    print("lines", sum(path.read_bytes().count(b"\n") for path in sources))
     return status
 
 

@@ -195,9 +195,10 @@ def _write_grid_csv(path: Path, flat: np.ndarray):
 def cmd_inspect_maps(args) -> int:
     cfg, vocab, model = _load_run(Path(args.run), args.checkpoint)
     samples = load_dataset(args.data, expected_classes=cfg.model.classes)
-    sample = samples[0] if args.id is None else next((s for s in samples if s.id == args.id), None)
+    sample = next((s for s in samples if args.id in (None, s.id)), None)
     if sample is None:
-        raise DataError(f"sample id {args.id!r} not found in {args.data}")
+        raise DataError(f"{args.data}: no samples" if args.id is None
+                        else f"sample id {args.id!r} not found in {args.data}")
     classes = [f"class{i}" for i in range(cfg.model.classes)]
     if args.classes:
         classes = _strings(args.classes, _read_json(args.classes), "class names")
@@ -216,35 +217,32 @@ def cmd_inspect_maps(args) -> int:
     meta = {"id": sample.id, "variant": model.variant, "classes": classes,
             "loss_terms": result.breakdown.as_dict()}
 
-    if model.variant == "base":
+    maps = result.maps
+    if maps is None:
         (out / "note.txt").write_text(
             "visual/textual map dumps need the classification head; "
             "this run used the base variant, which has none.\n")
     else:
-        meta["presence"] = [int(v) for v in result.presence]
-        meta["probabilities"] = [float(v) for v in result.probs]
+        meta["presence"] = [int(v) for v in maps.probs.presence]
+        meta["probabilities"] = [float(v) for v in maps.probs.probs]
         views = len(sample.images)
-        for seg, grid in enumerate(np.split(result.visual_map, views)):
+        for seg, grid in enumerate(np.split(maps.visual_map, views)):
             _write_grid_csv(out / f"vdm_seg{seg}.csv", grid)
-        for ci, cname in enumerate(classes):
-            for seg, grid in enumerate(np.split(normalize_map(result.cams[ci]), views)):
+        for cname, cam in zip(classes, normalize_map(maps.cams)):
+            for seg, grid in enumerate(np.split(cam, views)):
                 _write_grid_csv(out / f"cam_{cname}_seg{seg}.csv", grid)
-        if model.variant == "full" and result.text_map is not None:
+        if result.text_map is not None:
             for seg, grid in enumerate(np.split(result.text_map.data, views)):
                 _write_grid_csv(out / f"tdm_seg{seg}.csv", grid)
-            prefix = ids[:-1]
-            attn = result.decoder.cross_final_avg.data
-            seen, words = set(), []
-            rows = []
-            for j in result.selected:
-                word = vocab.id_to_token[prefix[int(j)]]
-                rows.append(attn[int(j)])
-                if word not in seen:
-                    seen.add(word)
-                    words.append({"word": word, "position": int(j),
-                                  "weight": float(max(0.0, result.sims.data[int(j)]))})
-            np.savetxt(out / "word_attention.csv", np.stack(rows), delimiter=",", fmt="%.8g")
-            (out / "selected_words.json").write_text(json.dumps(words, indent=2))
+            selected = [int(j) for j in result.selected]
+            np.savetxt(out / "word_attention.csv", result.decoder.cross_final_avg.data[selected],
+                       delimiter=",", fmt="%.8g")
+            words = {}                                 # each word at its first selected position
+            for j in selected:
+                words.setdefault(vocab.id_to_token[ids[j]], {
+                    "position": j, "weight": float(max(0.0, result.sims.data[j]))})
+            (out / "selected_words.json").write_text(
+                json.dumps([{"word": w, **rest} for w, rest in words.items()], indent=2))
         elif model.variant == "vdmae":
             (out / "note.txt").write_text(
                 "textual map requires the attention-consistency variant (full); "

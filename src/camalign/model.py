@@ -29,10 +29,7 @@ class ForwardResult:
     total: Tensor                    # per sample: scalar, or (B,) for a batch
     memory: Tensor
     summary: Tensor = None           # encoded discriminative token (vdmae/full)
-    visual_map: np.ndarray = None
-    cams: np.ndarray = None
-    presence: np.ndarray = None
-    probs: np.ndarray = None
+    maps: saliency.VisualMapResult = None    # visual map, CAMs, class probabilities (vdmae/full)
     sims: Tensor = None              # (..., T) word-to-summary cosine similarities
     selected: np.ndarray = None
     text_map: Tensor = None
@@ -133,11 +130,8 @@ class CaptionModel:
         out = self.decoder(prefix, memory)
         ce = report_cross_entropy(out.log_probs, targets)
 
-        bce = mse = None
-        visual = cams = presence = probs = sims = selected = text_map = None
-        if self.variant != "base":
-            probs, presence = map_result.probs.probs, map_result.probs.presence
-            cams, visual = map_result.cams, map_result.visual_map
+        bce = mse = sims = selected = text_map = None
+        if map_result is not None:
             bce = label_bce(map_result.probs.logits, labels)
         if self.variant == "full":
             content = ~np.isin(prefix, (PAD, BOS, EOS, UNK))
@@ -145,7 +139,7 @@ class CaptionModel:
                 sims = consistency.word_similarities(self.decoder.embed_words(prefix), summary)
                 selected = consistency.select_important_words(sims, content, k)
                 text_map = consistency.textual_map(out.cross_final_avg, sims, selected)
-                mse = consistency.consistency_loss(text_map, visual)
+                mse = consistency.consistency_loss(text_map, map_result.visual_map)
                 has_words = content.any(axis=-1)
                 if not has_words.all():
                     mse = mse * has_words
@@ -154,8 +148,7 @@ class CaptionModel:
         total, breakdown = composite_loss(ce, bce, mse, lam, delta)
         return ForwardResult(
             decoder=out, breakdown=breakdown, total=total, memory=memory, summary=summary,
-            visual_map=visual, cams=cams, presence=presence, probs=probs, sims=sims,
-            selected=selected, text_map=text_map)
+            maps=map_result, sims=sims, selected=selected, text_map=text_map)
 
     # -- generation ---------------------------------------------------------
 

@@ -39,15 +39,16 @@ def classify_global(tokens: Tensor, class_head: Tensor) -> ClassProbabilities:
     return ClassProbabilities(probs=probs, logits=logits, presence=presence)
 
 
-def class_activation_map(feats: np.ndarray, class_head: np.ndarray, class_idx: int) -> np.ndarray:
-    """Per-patch evidence for one class: patch features dotted with its head row.
+def class_activation_map(feats: np.ndarray, class_head: np.ndarray, class_idx) -> np.ndarray:
+    """Per-patch evidence for a class: patch features dotted with its head row.
 
-    The mean of this map over patches equals the class's pooled logit (the
-    global-average-pooling decomposition).
+    ``class_idx`` is one class, giving (..., N), or a slice of classes, giving
+    (..., classes, N).  The mean of a class's map over patches equals its
+    pooled logit (the global-average-pooling decomposition).
     """
-    if not 0 <= class_idx < class_head.shape[0]:
+    if not isinstance(class_idx, slice) and not 0 <= class_idx < class_head.shape[0]:
         raise IndexError(f"class index {class_idx} out of range [0, {class_head.shape[0]})")
-    return feats @ class_head[class_idx]
+    return np.swapaxes(feats @ class_head.T, -1, -2)[..., class_idx, :]
 
 
 def normalize_map(raw: np.ndarray) -> np.ndarray:
@@ -70,7 +71,7 @@ def visual_map_from_features(tokens: Tensor, class_head: Tensor) -> VisualMapRes
     the map so the alignment target never vanishes.
     """
     result = classify_global(tokens, class_head)
-    cams = np.swapaxes(tokens.data @ class_head.data.T, -1, -2)     # (..., classes, N)
+    cams = class_activation_map(tokens.data, class_head.data, slice(None))   # (..., classes, N)
     chosen = result.presence.astype(bool)
     classes = np.arange(chosen.shape[-1])
     chosen |= ~chosen.any(axis=-1, keepdims=True) & (

@@ -75,7 +75,7 @@ def test_criterion_1_gradient_integrity():
 
     # the visual map is a constant target by design, so the finite-difference
     # probe holds it at its value from the evaluation point
-    pinned = forward(model, sample, vocab, cfg).visual_map.copy()
+    pinned = forward(model, sample, vocab, cfg).maps.visual_map.copy()
 
     def build_loss():
         return forward(model, sample, vocab, cfg, pinned_map=pinned).total
@@ -135,7 +135,7 @@ def test_criterion_2_detach_contract():
                                   np.zeros_like(result.summary.data))
 
     result2 = forward(model, sample, vocab, cfg)
-    backward(consistency_loss(result2.text_map, result2.visual_map))
+    backward(consistency_loss(result2.text_map, result2.maps.visual_map))
     mse_grad_nonzero = np.abs(grad_of(result2.summary)).sum() > 0
 
     memory, summary, _ = model.encode_images(sample.images)

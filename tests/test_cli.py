@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from camalign.cli import ablation_table, main
-from camalign.data import load_alignment, load_dataset
+from camalign.cli import _load_run, ablation_table, main
+from camalign.data import load_alignment, load_dataset, tokenize
+from camalign.saliency import normalize_map
 
 MICRO_SET = ["model.layers=1", "model.heads=2", "model.dim=8",
              "model.feat_dim=6", "model.patch=4", "model.classes=3",
@@ -270,8 +271,32 @@ def test_inspect_maps_full_variant(tmp_path, dataset_dir, run_dir):
     assert len(names) == len(set(names))           # deduplicated
     meta = json.loads((out / "meta.json").read_text())
     assert len(meta["presence"]) == 3
-    for name in ("solid", "hollow", "cross"):
-        assert (out / f"cam_{name}_seg0.csv").exists()
+
+    # every dump is the forward record's array, at the CSV's %.8g precision
+    cfg, vocab, model = _load_run(run_dir)
+    result = model.forward_train(sample.images, tokenize(sample.report, vocab), sample.labels,
+                                 lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
+
+    def dumped(values):
+        return np.array([float("%.8g" % v) for v in values]).reshape(2, 2)
+
+    assert np.array_equal(vdm, dumped(result.maps.visual_map))
+    assert np.array_equal(tdm, dumped(result.text_map.data))
+    for c, name in enumerate(("solid", "hollow", "cross")):
+        cam = np.loadtxt(out / f"cam_{name}_seg0.csv", delimiter=",")
+        assert np.array_equal(cam, dumped(normalize_map(result.maps.cams[c])))
+
+
+def test_inspect_maps_names_an_empty_file_and_an_unknown_id(tmp_path, dataset_dir, run_dir,
+                                                           capsys):
+    empty, test, out = tmp_path / "empty.jsonl", dataset_dir / "test.jsonl", tmp_path / "maps"
+    empty.write_text("")
+    for data, extra, message in ((empty, [], f"{empty}: no samples"),
+                                 (test, ["--id", "nope"], f"sample id 'nope' not found in {test}")):
+        assert main(["inspect-maps", "--run", str(run_dir), "--data", str(data),
+                     "--out", str(out), *extra]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_inspect_maps_rejects_class_names_that_do_not_fit_the_model(tmp_path, dataset_dir,
@@ -290,16 +315,21 @@ def test_inspect_maps_rejects_class_names_that_do_not_fit_the_model(tmp_path, da
         assert not out.exists()
 
 
-def test_inspect_maps_base_variant_notes_absence(tmp_path, dataset_dir):
-    run = tmp_path / "base_run"
+@pytest.mark.parametrize("variant", ["base", "vdmae"])
+def test_inspect_maps_notes_absent_maps(tmp_path, dataset_dir, variant):
+    run = tmp_path / f"{variant}_run"
     main(["train", "--data", str(dataset_dir), "--out", str(run), "--quiet",
-          "--variant", "base", "--set", *MICRO_SET])
-    out = tmp_path / "maps_base"
+          "--variant", variant, "--set", *MICRO_SET])
+    out = tmp_path / f"maps_{variant}"
     assert main(["inspect-maps", "--run", str(run), "--data",
                  str(dataset_dir / "test.jsonl"), "--out", str(out)]) == 0
-    assert (out / "note.txt").exists()
+    visual = variant == "vdmae"
+    note = "only visual maps are dumped" if visual else "which has none"
+    assert note in (out / "note.txt").read_text()
     assert not (out / "tdm_seg0.csv").exists()
-    assert not (out / "vdm_seg0.csv").exists()
+    assert not (out / "selected_words.json").exists()
+    assert (out / "vdm_seg0.csv").exists() == visual
+    assert all((out / f"cam_class{c}_seg0.csv").exists() == visual for c in range(3))
 
 
 def test_ablate_emits_three_variant_table(tmp_path, dataset_dir):

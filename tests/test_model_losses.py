@@ -158,7 +158,7 @@ def test_variant_gating():
         assert (result.breakdown.bce != 0.0) == has_bce
         assert (result.breakdown.mse != 0.0) == has_mse
         if variant == "base":
-            assert result.visual_map is None and result.summary is None
+            assert result.maps is None and result.summary is None
 
 
 def test_loss_breakdown_identity_on_model():
@@ -171,7 +171,7 @@ def test_loss_breakdown_identity_on_model():
 def test_memory_width_equals_map_length_both_modes():
     model, samples, vocab = micro_setup("full")
     result = run_forward(model, samples[0], vocab)
-    assert result.memory.shape[0] == result.visual_map.shape[0]
+    assert result.memory.shape[0] == result.maps.visual_map.shape[0]
     base, samples_b, vocab_b = micro_setup("base")
     result_b = run_forward(base, samples_b[0], vocab_b)
     assert result_b.memory.shape[0] == base.extractor([samples_b[0].images[0]]).shape[0]
@@ -188,7 +188,7 @@ def test_detach_contract_on_model():
     model2, samples2, vocab2 = micro_setup("full")
     result2 = run_forward(model2, samples2[0], vocab2)
     from camalign.consistency import consistency_loss
-    backward(consistency_loss(result2.text_map, result2.visual_map))
+    backward(consistency_loss(result2.text_map, result2.maps.visual_map))
     assert np.abs(grad_of(result2.summary)).sum() > 0
 
 
@@ -208,7 +208,7 @@ def test_pinned_map_overrides_computed():
     n = model.extractor([samples[0].images[0]]).shape[0]
     pinned = np.linspace(0.0, 1.0, n)
     result = run_forward(model, samples[0], vocab, pinned_map=pinned)
-    assert np.array_equal(result.visual_map, pinned)
+    assert np.array_equal(result.maps.visual_map, pinned)
 
 
 def test_parameter_overhead_exact():
@@ -241,7 +241,7 @@ def test_two_view_sample_forward():
     model = CaptionModel(cfg, len(vocab), "full", np.random.default_rng(0))
     sample = next(s for s in samples if len(s.images) == 2)
     result = run_forward(model, sample, vocab)
-    assert result.visual_map.shape == (8,)            # 2 views x 4 patches
+    assert result.maps.visual_map.shape == (8,)       # 2 views x 4 patches
     assert result.memory.shape[0] == 8
     assert np.isfinite(float(result.total.data))
 
