@@ -11,14 +11,17 @@ criterion-8 profile (run seed 5, data seed 5, 140 train / 20 validation
 samples, 2 epochs, patience 2), then decodes 8 held-out samples with beam 3
 and writes them to ``beam3.txt`` in its run dir.  One line per variant gives the first 16 hex digits of the sha256 of
 ``metrics.jsonl``, ``checkpoint_best.bin``, ``checkpoint_last.bin`` and the
-beam-3 candidates joined by newlines.  A last line counts the lines of
+beam-3 candidates joined by newlines; a second gives (and ``step_peak.txt``
+keeps) the bytes one more ``train_step`` on the first 8 training samples allocates
+at its peak under tracemalloc, after a warm-up step.  A last line counts the lines of
 ``src/camalign/*.py`` plus ``scripts/*.py``, the project's line budget.
 
 ``--against DIR`` names an earlier ``--out`` directory.  For each variant it
 then also prints the largest absolute difference of any numeric
-``metrics.jsonl`` field, whether the beam-3 candidates are identical, and
-whether each checkpoint's bytes equal the earlier run's, so a change that
-only moves rounding shows how far it moved.  The exit code is then 1 when
+``metrics.jsonl`` field, whether the beam-3 candidates are identical,
+whether each checkpoint's bytes equal the earlier run's (so a change that
+only moves rounding shows how far it moved) and the step peak's ratio to
+the earlier run's.  The exit code is then 1 when
 any variant's beam-3 candidates differ or its metrics log differs in
 records, fields or text (drift ``inf``); differing checkpoint bytes alone
 do not fail it, since a rounding-only change moves them.
@@ -32,6 +35,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads: a GEMM's rounding depends on its thread count.
@@ -40,7 +44,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from camalign.config import load_config
 from camalign.data import GLYPH_NAMES, SyntheticSpec, generate_synthetic
-from camalign.training import generate_report, train
+from camalign.optim import Adam
+from camalign.training import generate_report, train, train_step
 
 PROFILE = {"model.layers": 2, "model.heads": 4, "model.dim": 64,
            "model.feat_dim": 32, "model.classes": 6, "model.max_len": 24,
@@ -67,6 +72,21 @@ def metric_drift(new: Path, old: Path) -> float:
                for a, b in zip(new_rows, old_rows) for k, v in a.items())
 
 
+def step_peak(result, cfg, batch) -> int:
+    """Bytes one ``train_step`` of the trained model allocates at its peak, after a warm-up step."""
+    model = result.model
+    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
+                (model.encdec_params(), cfg.train.lr_ed)])
+    train_step(model, opt, batch, result.vocab, cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_step(model, opt, batch, result.vocab, cfg)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -88,7 +108,10 @@ def main() -> int:
                           for s in samples[N_TRAIN + N_VAL:])
         (run_dir / "beam3.txt").write_text(beams)
         hashes = [digest((run_dir / name).read_bytes()) for name in ("metrics.jsonl", *CHECKPOINTS)]
+        peak = step_peak(result, cfg, samples[:cfg.train.batch])
+        (run_dir / "step_peak.txt").write_text(f"{peak}\n")
         print(variant, *hashes, digest(beams.encode()))
+        print(f"  train_step peak {peak} bytes")
         if args.against:
             old = args.against / variant
             drift = metric_drift(run_dir / "metrics.jsonl", old / "metrics.jsonl")
@@ -96,8 +119,10 @@ def main() -> int:
             bytes_same = ", ".join(
                 f"{name} {'identical' if (old / name).read_bytes() == (run_dir / name).read_bytes() else 'DIFFER'}"
                 for name in CHECKPOINTS)
+            old_peak = old / "step_peak.txt"
+            ratio = f"{peak / int(old_peak.read_text()):.4f}" if old_peak.exists() else "n/a"
             print(f"  metric drift {drift:.3g}; beam-3 candidates {'identical' if same else 'DIFFER'}; "
-                  f"{bytes_same}")
+                  f"{bytes_same}; step peak ratio {ratio}")
             if not same or math.isinf(drift):
                 status = 1
     root = Path(__file__).resolve().parent.parent

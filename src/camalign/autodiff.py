@@ -21,7 +21,9 @@ storage.  Every other primitive returns storage of its own; ``transpose``
 copies so that later products see a contiguous operand.  Gradients follow
 the same rule: a tensor keeps the first gradient it receives by reference
 (often another node's ``.grad``, or a view of it) and adds every later one
-out of place, so no code writes into a ``.grad`` array in place.  Every
+out of place, so no code writes into a ``.grad`` array in place.  A primitive
+may write in place only into a buffer it allocated itself (a product or a
+difference it just formed), never into an operand or a received gradient.  Every
 tensor is screened for NaN and inf as it is built, by one self-dot of its
 values; only values whose squares overflow take the exact elementwise check.
 """
@@ -399,7 +401,7 @@ def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def softmax_values(x: np.ndarray, mask=None) -> np.ndarray:
-    """Row-wise softmax over the last axis, stabilised by max-subtraction.
+    """Row-wise softmax over the last axis, stabilised by max-subtraction, in one new buffer.
 
     ``mask`` (boolean, broadcastable to ``x``) gives masked-out entries exactly
     zero probability; every row must keep at least one entry.
@@ -408,12 +410,13 @@ def softmax_values(x: np.ndarray, mask=None) -> np.ndarray:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         if not mask.any(axis=-1).all():
             raise ContractError("softmax mask removes an entire row")
-        masked = np.where(mask, x, -np.inf)
-        shifted = np.where(mask, masked - masked.max(axis=-1, keepdims=True), 0.0)
-        e = np.where(mask, np.exp(shifted), 0.0)
+        e = np.where(mask, x, -np.inf)
+        e -= e.max(axis=-1, keepdims=True)     # masked-out entries stay -inf, and exp makes them 0
     else:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax(a, mask=None, scale: float = 1.0) -> Tensor:
@@ -430,10 +433,17 @@ def softmax(a, mask=None, scale: float = 1.0) -> Tensor:
     return _make(p, (a,), backward)
 
 
-def _softmax_grad(p: np.ndarray, g: np.ndarray, scale: float) -> np.ndarray:
-    """The gradient at ``x`` of probabilities ``p = softmax(x * scale)`` that receive ``g``."""
-    inner = (g * p).sum(axis=-1, keepdims=True)
-    return p * (g - inner) * scale
+def _softmax_grad(p: np.ndarray, g: np.ndarray, scale: float, own_g: bool = False) -> np.ndarray:
+    """The gradient at ``x`` of probabilities ``p = softmax(x * scale)`` that receive ``g``,
+    in a new buffer or, when the caller owns ``g``, in ``g``; the row sums of ``g * p``
+    are taken one leading index at a time, so no second full-size product is live."""
+    inner = np.empty((*p.shape[:-1], 1), np.result_type(g, p))
+    for i in np.ndindex(p.shape[:min(p.ndim - 1, 1)]):
+        inner[i] = (g[i] * p[i]).sum(axis=-1, keepdims=True)
+    out = np.subtract(g, inner, out=g if own_g else None)
+    out *= p
+    out *= scale
+    return out
 
 
 def _head_order(ndim: int, keys_last: bool) -> tuple:
@@ -452,6 +462,44 @@ def _merge_heads(x: np.ndarray, shape: tuple, keys_last: bool = False) -> np.nda
     return x.transpose(np.argsort(_head_order(len(shape), keys_last))).reshape(shape)
 
 
+def _attention_operands(op: str, q, k, heads: int) -> tuple:
+    """Query rows (..., T, D) and key rows (..., S, D), D divisible by ``heads``, as tensors."""
+    q, k = as_tensor(q), as_tensor(k)
+    if (q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1] or heads < 1 or q.shape[-1] % heads):
+        raise ShapeError(f"{op} needs (...,T,D) and (...,S,D) with D divisible "
+                         f"by {heads} heads, got {q.shape} and {k.shape}")
+    return q, k
+
+
+def _scaled_softmax(q: np.ndarray, k: np.ndarray, heads: int, scale: float, mask) -> np.ndarray:
+    """Per-head ``softmax_values((q_h @ k_h^T) * scale, mask)`` of rows q and k."""
+    scores = _split_heads(q, heads).copy() @ _split_heads(k, heads, True).copy()
+    scores *= scale
+    return softmax_values(scores, mask)
+
+
+def _scores_grads(q: Tensor, k: Tensor, heads: int, scale: float, p: np.ndarray, g: np.ndarray,
+                  own_g: bool = False) -> None:
+    """Accumulate the gradients of ``q`` and ``k`` from those of their probabilities ``p``."""
+    g = _softmax_grad(p, g, scale, own_g)
+    if q.requires_grad:
+        keys = _split_heads(k.data, heads, True).copy().swapaxes(-1, -2)
+        _accumulate(q, _merge_heads(g @ keys, q.shape))
+    if k.requires_grad:
+        queries = _split_heads(q.data, heads).copy().swapaxes(-1, -2)
+        _accumulate(k, _merge_heads(queries @ g, k.shape, True))
+
+
+def _mixed_grads(p: np.ndarray, v: Tensor, g: np.ndarray, want_p: bool):
+    """Accumulate into ``v`` its gradient from ``g``, the gradient of probabilities ``p``
+    (..., H, T, S) mixing its head copies; return ``p``'s gradient, a new array, if ``want_p``."""
+    g = _split_heads(g, p.shape[-3])
+    if v.requires_grad:
+        _accumulate(v, _merge_heads(p.swapaxes(-1, -2) @ g, v.shape))
+    return g @ _split_heads(v.data, p.shape[-3]).copy().swapaxes(-1, -2) if want_p else None
+
+
 def attention_probs(q, k, heads: int, scale: float, mask=None) -> Tensor:
     """Per-head ``softmax_values((q_h @ k_h^T) * scale, mask)`` of rows q (..., T, D)
     over rows k (..., S, D), as one (..., H, T, S) node.
@@ -460,22 +508,11 @@ def attention_probs(q, k, heads: int, scale: float, mask=None) -> Tensor:
     contiguous head copies bit for bit.  Only the probabilities stay on the
     graph: the raw scores are a temporary, and backward rebuilds the head copies.
     """
-    q, k = as_tensor(q), as_tensor(k)
-    if (q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2]
-            or q.shape[-1] != k.shape[-1] or heads < 1 or q.shape[-1] % heads):
-        raise ShapeError(f"attention_probs needs (...,T,D) and (...,S,D) with D divisible "
-                         f"by {heads} heads, got {q.shape} and {k.shape}")
-    p = softmax_values(
-        (_split_heads(q.data, heads).copy() @ _split_heads(k.data, heads, True).copy()) * scale, mask)
+    q, k = _attention_operands("attention_probs", q, k, heads)
+    p = _scaled_softmax(q.data, k.data, heads, scale, mask)
 
     def backward(g):
-        g = _softmax_grad(p, g, scale)
-        if q.requires_grad:
-            keys = _split_heads(k.data, heads, True).copy().swapaxes(-1, -2)
-            _accumulate(q, _merge_heads(g @ keys, q.shape))
-        if k.requires_grad:
-            queries = _split_heads(q.data, heads).copy().swapaxes(-1, -2)
-            _accumulate(k, _merge_heads(queries @ g, k.shape, True))
+        _scores_grads(q, k, heads, scale, p, g)
 
     return _make(p, (q, k), backward)
 
@@ -495,13 +532,29 @@ def mix_heads(p, v) -> Tensor:
     heads, shape = p.shape[-3], (*p.shape[:-3], p.shape[-2], v.shape[-1])
 
     def backward(g):
-        g = _split_heads(g, heads)
-        if p.requires_grad:
-            _accumulate(p, g @ _split_heads(v.data, heads).copy().swapaxes(-1, -2))
-        if v.requires_grad:
-            _accumulate(v, _merge_heads(p.data.swapaxes(-1, -2) @ g, v.shape))
+        g_p = _mixed_grads(p.data, v, g, p.requires_grad)
+        if g_p is not None:
+            _accumulate(p, g_p)
 
     return _make(_merge_heads(p.data @ _split_heads(v.data, heads).copy(), shape), (p, v), backward)
+
+
+def self_attention(q, k, v, heads: int, scale: float, mask=None) -> Tensor:
+    """``mix_heads(attention_probs(q, k, heads, scale, mask), v)`` as one node that keeps
+    its probabilities inside, with the pair's values and gradients bit for bit.  Backward
+    applies the softmax gradient in place to the probability gradient it formed."""
+    q, k = _attention_operands("self_attention", q, k, heads)
+    v = as_tensor(v)
+    if v.shape != k.shape:
+        raise ShapeError(f"self_attention needs values of the keys' shape {k.shape}, got {v.shape}")
+    p = _scaled_softmax(q.data, k.data, heads, scale, mask)
+
+    def backward(g):
+        g_p = _mixed_grads(p, v, g, q.requires_grad or k.requires_grad)
+        if g_p is not None:
+            _scores_grads(q, k, heads, scale, p, g_p, own_g=True)
+
+    return _make(_merge_heads(p @ _split_heads(v.data, heads).copy(), q.shape), (q, k, v), backward)
 
 
 def log_softmax_values(x: np.ndarray) -> np.ndarray:
@@ -549,12 +602,15 @@ def minmax(a) -> Tensor:
 
 
 def layer_norm_values(x: np.ndarray, gain, bias, eps: float = 1e-5):
-    """Layer norm over the last axis: the output, the normalised rows and their std."""
+    """Layer norm over the last axis: the output, the normalised rows and their std.
+    ``normed`` is the buffer of the centred rows, divided in place."""
     n = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
-    normed = centered / std
-    return normed * gain + bias, normed, std
+    normed = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    std = np.sqrt((normed * normed).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    normed /= std
+    out = normed * gain
+    out += bias
+    return out, normed, std
 
 
 def layer_norm(x, gain, bias, residual=None, eps: float = 1e-5) -> Tensor:
@@ -563,7 +619,7 @@ def layer_norm(x, gain, bias, residual=None, eps: float = 1e-5) -> Tensor:
 
     The sum is a temporary, and both operands receive its gradient as ``add``
     gives it, so values and gradients equal ``layer_norm(add(x, residual), ...)``
-    bit for bit.
+    bit for bit.  Backward forms the input gradient in one buffer of its own.
     """
     inputs = (as_tensor(x),) if residual is None else _operands(x, residual)
     gain, bias = as_tensor(gain), as_tensor(bias)
@@ -574,9 +630,11 @@ def layer_norm(x, gain, bias, residual=None, eps: float = 1e-5) -> Tensor:
 
     def backward(g):
         if any(t.requires_grad for t in inputs):
-            gn = g * gain.data
-            g_in = (gn - gn.mean(axis=-1, keepdims=True)
-                    - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+            g_in = g * gain.data
+            along = (g_in * normed).mean(axis=-1, keepdims=True)
+            g_in -= g_in.mean(axis=-1, keepdims=True)
+            g_in -= normed * along
+            g_in /= std
             for t in inputs:
                 if t.requires_grad:
                     _accumulate(t, _unbroadcast(g_in, t.shape))

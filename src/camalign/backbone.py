@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, add, attention_probs, gather_rows,
-                       layer_norm, layer_norm_values, linear, linear_relu, log_softmax,
-                       log_softmax_values, mean, mix_heads, reshape, softmax_values, transpose)
+from .autodiff import (ContractError, ShapeError, Tensor, _finite, add, attention_probs,
+                       gather_rows, layer_norm, layer_norm_values, linear, linear_relu,
+                       log_softmax, log_softmax_values, mean, mix_heads, reshape,
+                       self_attention, softmax_values, transpose)
 from .config import ModelSection
 
 
@@ -95,9 +96,10 @@ class PatchExtractor:
 class MultiHeadAttention:
     """Scaled dot-product attention, all heads (and samples) in one batched product.
 
-    Between the projections the graph holds two nodes: ``attention_probs``,
-    which keeps only the per-head probabilities, and ``mix_heads``.  Returns
-    the output, (..., T, D), and the probabilities as one (..., H, T, S) tensor.
+    Between the projections, cross-attention is two nodes, ``attention_probs``
+    (keeps only the per-head probabilities) and ``mix_heads``, and returns the
+    output, (..., T, D), with the probabilities, (..., H, T, S); self-attention
+    (keys and values are the query) is one ``self_attention`` node and returns ``None``.
     """
 
     def __init__(self, dim: int, heads: int, rng):
@@ -121,6 +123,9 @@ class MultiHeadAttention:
         k = linear(keys, self.wk, self.bk)
         v = linear(values, self.wv, self.bv)
         # one softmax for every head; a (T, T) causal mask broadcasts over H and the batch
+        if keys is query and values is query:
+            mixed = self_attention(q, k, v, self.heads, self.scale, mask)
+            return linear(mixed, self.wo, self.bo), None
         scores = attention_probs(q, k, self.heads, self.scale, mask)
         return linear(mix_heads(scores, v), self.wo, self.bo), scores
 
@@ -313,7 +318,7 @@ class Decoder:
         ``self(prefixes[r], memory).log_probs[-1]`` up to rounding.
         """
         for name, p in self.params().items():
-            if not np.all(np.isfinite(p.data)):
+            if not _finite(p.data):
                 raise ContractError(f"decoder parameter {name} holds non-finite values")
         if memory.shape[0] < 1:
             raise ShapeError("decoder memory is empty")

@@ -247,6 +247,10 @@ def cmd_inspect_maps(args) -> int:
             (out / "note.txt").write_text(
                 "textual map requires the attention-consistency variant (full); "
                 "this run used vdmae, so only visual maps are dumped.\n")
+        else:
+            (out / "note.txt").write_text(
+                "no textual map: no content word of this report was selected, since every "
+                "word is special or out of the vocabulary; only visual maps are dumped.\n")
     (out / "meta.json").write_text(json.dumps(meta, indent=2))
     print(f"wrote map dumps for sample {sample.id} to {out}")
     return 0

@@ -12,7 +12,8 @@ from camalign import autodiff as ad
 from camalign.autodiff import (ContractError, ShapeError, Tensor, backward,
                                add, attention_probs, concat, cosine, gather_rows, grad_of,
                                layer_norm, linear, linear_relu, log_softmax, matmul, mean, minmax,
-                               mix_heads, relu, reshape, softmax, tmax, trace, transpose, tsum)
+                               mix_heads, relu, reshape, self_attention, softmax, tmax, trace,
+                               transpose, tsum)
 from camalign.saliency import normalize_map
 from conftest import check_grads, composed_attention
 
@@ -551,6 +552,41 @@ def test_attention_nodes_are_the_composed_chain_bit_for_bit(q_shape, k_shape, he
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "batched"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("causal", [False, True], ids=["open", "causal"])
+def test_self_attention_gradient(lead, heads, causal, rng):
+    q, k, v = (Tensor(rng.normal(size=(*lead, 4, 4)) * 2, requires_grad=True) for _ in range(3))
+    mask = _causal(4, causal)
+    w = Tensor(rng.normal(size=(*lead, 4, 4)))
+    check_grads(lambda: tsum(self_attention(q, k, v, heads, 0.35, mask) * w), [q, k, v])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("q_shape,k_shape,heads,causal", ATTENTION_CASES, ids=ATTENTION_IDS)
+def test_self_attention_is_the_node_pair_bit_for_bit(q_shape, k_shape, heads, causal, dtype, rng):
+    """The merged rows and the gradients of q, k and v equal those of
+    ``mix_heads(attention_probs(q, k, ...), v)`` byte for byte."""
+    arrays = [(rng.normal(size=s) * 2).astype(dtype) for s in (q_shape, k_shape, k_shape)]
+    mask = _causal(q_shape[-2], causal)
+    g_out = rng.normal(size=q_shape).astype(dtype)
+    results = []
+    for build in (self_attention,
+                  lambda q, k, v, *rest: mix_heads(attention_probs(q, k, *rest), v)):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = build(*inputs, heads, 0.35, mask)
+        backward(tsum(out * g_out))
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results, strict=True):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+def test_self_attention_values_of_another_shape_are_a_shape_error():
+    with pytest.raises(ShapeError, match=r"\(5, 4\).*\(5, 2\)"):
+        self_attention(*(Tensor(np.zeros(s)) for s in ((3, 4), (5, 4), (5, 2))), 2, 1.0)
+
+
 @pytest.mark.parametrize("q_shape,k_shape,heads", [
     ((3, 4), (5, 6), 2),           # widths differ
     ((2, 3, 4), (3, 5, 4), 2),     # leading axes differ
@@ -740,5 +776,5 @@ def test_every_primitive_has_a_gradient_check(monkeypatch, rng):
                      if not any(re.fullmatch(rf"test_(\w+_)?{name}_gradients?(_\w+)?", n)
                                 for n in named))
     assert _node_builders() >= {"layer_norm", "cosine", "softmax", "tmax", "minmax", "linear",
-                                "linear_relu", "attention_probs", "mix_heads"}
+                                "linear_relu", "attention_probs", "mix_heads", "self_attention"}
     assert not missing, f"primitives without a finite-difference check: {missing}"

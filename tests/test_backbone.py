@@ -134,15 +134,29 @@ def test_attention_matches_per_head_reference(rng, kind):
 
 @pytest.mark.parametrize("heads", [1, 2])
 def test_attention_gradient(rng, heads):
+    """Cross-attention, whose probabilities a loss may read; ``autodiff``'s
+    ``test_self_attention_gradient`` checks the one-node self-attention."""
     attn = MultiHeadAttention(4, heads, rng)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w_out, w_scores = (Tensor(rng.normal(size=shape)) for shape in ((3, 4), (heads, 3, 3)))
+    memory = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w_out, w_scores = (Tensor(rng.normal(size=shape)) for shape in ((3, 4), (heads, 3, 5)))
 
     def build_loss():
-        out, scores = attn(x, x, x)
+        out, scores = attn(x, memory, memory)
         return tsum(out * w_out) + tsum(scores * w_scores)
 
-    check_grads(build_loss, [x, attn.wq, attn.wk, attn.wv, attn.wo], h=1e-5, tol=1e-6)
+    check_grads(build_loss, [x, memory, attn.wq, attn.wk, attn.wv, attn.wo], h=1e-5, tol=1e-6)
+
+
+def test_self_attention_is_one_node_that_returns_no_probabilities(rng):
+    attn = MultiHeadAttention(4, 2, rng)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out, scores = attn(x, x, x)
+    assert scores is None
+    mixed = out._parents[0]
+    assert mixed._backward.__qualname__.split(".")[0] == "self_attention"
+    want, _ = attn(x, Tensor(x.data), Tensor(x.data))
+    assert np.array_equal(out.data, want.data)
 
 
 def test_softmax_logit_closed_form_on_scores():

@@ -315,16 +315,21 @@ def test_inspect_maps_rejects_class_names_that_do_not_fit_the_model(tmp_path, da
         assert not out.exists()
 
 
-@pytest.mark.parametrize("variant", ["base", "vdmae"])
+@pytest.mark.parametrize("variant", ["base", "vdmae", "full"])
 def test_inspect_maps_notes_absent_maps(tmp_path, dataset_dir, variant):
     run = tmp_path / f"{variant}_run"
     main(["train", "--data", str(dataset_dir), "--out", str(run), "--quiet",
           "--variant", variant, "--set", *MICRO_SET])
+    data = dataset_dir / "test.jsonl"
+    if variant == "full":        # a report of unknown words only: no content word to select
+        record = json.loads(data.read_text().splitlines()[0])
+        data = tmp_path / "unknown_words.jsonl"
+        data.write_text(json.dumps({**record, "report": "zzz qqq"}) + "\n")
     out = tmp_path / f"maps_{variant}"
-    assert main(["inspect-maps", "--run", str(run), "--data",
-                 str(dataset_dir / "test.jsonl"), "--out", str(out)]) == 0
-    visual = variant == "vdmae"
-    note = "only visual maps are dumped" if visual else "which has none"
+    assert main(["inspect-maps", "--run", str(run), "--data", str(data), "--out", str(out)]) == 0
+    visual = variant != "base"
+    note = {"base": "which has none", "vdmae": "only visual maps are dumped",
+            "full": "no content word of this report was selected"}[variant]
     assert note in (out / "note.txt").read_text()
     assert not (out / "tdm_seg0.csv").exists()
     assert not (out / "selected_words.json").exists()

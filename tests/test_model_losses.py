@@ -376,11 +376,13 @@ def test_beam_search_makes_one_step_call_per_position(max_len):
     assert 1 <= len(calls) <= max_len
 
 
-@pytest.mark.parametrize("beam", [1, 3])
-def test_non_finite_decoder_weight_fails_generation(beam):
-    # a NaN in ffn.w1 would otherwise be zeroed by the ReLU and decode garbage
+@pytest.mark.parametrize("beam,value", [
+    pytest.param(beam, value, id=f"{beam}{name}") for name, value in
+    (("", np.nan), ("-inf", np.inf), ("-neg_inf", -np.inf)) for beam in (1, 3)])
+def test_non_finite_decoder_weight_fails_generation(beam, value):
+    # a NaN or -inf in ffn.w1 would otherwise be zeroed by the ReLU and decode garbage
     model, samples, vocab = micro_setup("full")
-    model.decoder.blocks[0].ffn.w1.data[:, 0] = np.nan
+    model.decoder.blocks[0].ffn.w1.data[:, 0] = value
     with pytest.raises(ContractError, match="ffn.w1"):
         generate_report(model, samples[0], vocab, beam, 8)
 

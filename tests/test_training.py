@@ -241,11 +241,12 @@ def test_a_batch_builds_one_graph():
 
 
 def test_a_batch_graph_keeps_no_bias_free_product_or_unscaled_softmax_input():
-    """Every projection is one ``linear`` or ``linear_relu`` node and every
-    attention is two nodes between its projections: no ``add`` takes a
-    ``matmul`` output and a 1-D parameter, each ``attention_probs`` reads two
-    projections, no ``softmax`` node (nor its input scores) is left, no
-    ``relu`` reads a projection and no residual ``add`` feeds a ``layer_norm``."""
+    """Every projection is one ``linear`` or ``linear_relu`` node, every
+    self-attention is one node and every cross-attention two between its
+    projections: no ``add`` takes a ``matmul`` output and a 1-D parameter,
+    each ``attention_probs`` reads two projections and each ``self_attention``
+    three, no ``softmax`` node (nor its input scores) is left, no ``relu``
+    reads a projection and no residual ``add`` feeds a ``layer_norm``."""
     samples, vocab = mixed_batch((1,))
     cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
                        "train.delta": 0.5, "vtac.k": 0.3})
@@ -263,14 +264,16 @@ def test_a_batch_graph_keeps_no_bias_free_product_or_unscaled_softmax_input():
     assert ops["linear"] == 1 + 1 + 2 * (4 + 1) + 2 * (4 + 4 + 1) + 1
     assert ops["linear_relu"] == 1 + 2 + 2
     assert ops["layer_norm"] == 2 * 2 + 2 * 3 + 1
-    assert ops["attention_probs"] == ops["mix_heads"] == 2 * 1 + 2 * 2
+    assert ops["attention_probs"] == ops["mix_heads"] == 2      # the decoder's cross-attention
+    assert ops["self_attention"] == 2 + 2
     assert ops["softmax"] == 0
     for node in nodes:
         if op(node) == "add":
             a, b = node._parents
             assert not (op(a) == "matmul" and id(b) in params and b.ndim == 1)
-        if op(node) == "attention_probs":
-            assert [op(parent) for parent in node._parents] == ["linear", "linear"]
+        if op(node) in ("attention_probs", "self_attention"):
+            assert all(op(parent) == "linear" for parent in node._parents)
+            assert len(node._parents) == 2 + (op(node) == "self_attention")
         if op(node) == "relu":
             assert all(op(parent) != "linear" for parent in node._parents)
         if op(node) == "layer_norm":   # only the position table's constant add reaches a norm
@@ -356,6 +359,32 @@ def test_a_train_step_peak_falls_with_the_two_attention_nodes(monkeypatch):
     monkeypatch.setattr(MultiHeadAttention, "__call__", _composed_mha)
     composed = _step_peak(model, opt, samples, vocab, cfg)
     assert fused < 0.88 * composed, (fused, composed)
+
+
+def _paired_mha(self, query, keys, values, mask=None):
+    """``MultiHeadAttention.__call__`` with every attention, self-attention too,
+    as the ``attention_probs`` and ``mix_heads`` pair."""
+    q = linear(query, self.wq, self.bq)
+    k = linear(keys, self.wk, self.bk)
+    v = linear(values, self.wv, self.bv)
+    scores = autodiff.attention_probs(q, k, self.heads, self.scale, mask)
+    return linear(autodiff.mix_heads(scores, v), self.wo, self.bo), scores
+
+
+def test_a_train_step_peak_falls_with_the_one_node_self_attention(monkeypatch):
+    """One micro two-view step under tracemalloc: self-attention as one node
+    against the node pair.  The ratio of the two peaks reads about 0.94 from run to run."""
+    samples, vocab = mixed_batch((2,))
+    cfg = micro_cfg(**{"train.variant": "base", "model.max_len": 20})
+    model = run_model(cfg, len(vocab))
+    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
+                (model.encdec_params(), cfg.train.lr_ed)])
+    train_step(model, opt, samples, vocab, cfg)
+
+    fused = _step_peak(model, opt, samples, vocab, cfg)
+    monkeypatch.setattr(MultiHeadAttention, "__call__", _paired_mha)
+    paired = _step_peak(model, opt, samples, vocab, cfg)
+    assert fused < 0.97 * paired, (fused, paired)
 
 
 def _composed_linear_relu(x, w, b):
