@@ -29,11 +29,13 @@ values; only values whose squares overflow take the exact elementwise check.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 NORM_FLOOR = 1e-12   # ``cosine`` reads a vector with a smaller norm as zero
+_recording = True    # False inside ``no_graph`` (process-wide: the package runs on one thread)
 
 class ShapeError(ValueError):
     """Operand shapes violate a primitive's contract."""
@@ -128,8 +130,19 @@ def _operands(a, b) -> tuple:
     return as_tensor(a), as_tensor(b)
 
 
+@contextmanager
+def no_graph():
+    """Inside the block every primitive's result is a leaf, with its values screened as ever."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 def _make(data, parents, backward) -> Tensor:
-    """Assemble an op result; constants fold to leaves (no closure kept).
+    """Assemble an op result; constants and ``no_graph`` results fold to leaves (no closure kept).
 
     A non-finite result names its primitive (where ``backward`` was defined)
     and the operands' shapes.
@@ -138,7 +151,7 @@ def _make(data, parents, backward) -> Tensor:
         out = Tensor(data)
     except ContractError as err:
         raise _non_finite(backward.__qualname__.split(".")[0], parents) from err
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,12 +34,15 @@ def ones_param(shape) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
 
 
+@cache
 def sinusoid_positions(n: int, dim: int) -> np.ndarray:
-    """Standard sin/cos interleaved position table, shape (n, dim)."""
+    """Standard sin/cos interleaved position table, shape (n, dim), shared read-only per shape."""
     pos = np.arange(n)[:, None]
     i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
+    return table
 
 
 def _blockify(x: Tensor, lead: tuple, side: int, block: int) -> Tensor:
@@ -253,17 +257,17 @@ class DecoderOutput:
 # -- numpy mirrors of the graph ops, in the same op order, for Decoder.step_fn --
 
 
-def _heads(x: np.ndarray, attn: MultiHeadAttention, name: str) -> np.ndarray:
-    """Project rows (..., D) with ``attn.w<name>`` and split them into heads, (..., H, d)."""
-    y = x @ getattr(attn, "w" + name).data + getattr(attn, "b" + name).data
-    return y.reshape(*x.shape[:-1], attn.heads, attn.head_dim)
+def _heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+    """Project rows (..., D) with ``w`` and ``b`` and split them into heads, (..., H, d)."""
+    y = x @ w + b
+    return y.reshape(*x.shape[:-1], heads, -1)
 
 
-def _attend(attn: MultiHeadAttention, x, k, v) -> np.ndarray:
-    """Rows x (R,D) attend over keys (R,H,d,S) and values (R,H,S,d), or shared (H,d,S), (H,S,d)."""
-    q = _heads(x, attn, "q")[:, :, None]                                    # (R,H,1,d)
-    scores = softmax_values((q @ k) * attn.scale)
-    return (scores @ v).reshape(-1, attn.dim) @ attn.wo.data + attn.bo.data
+def _attend(q, k, v, scale: float, wo, bo) -> np.ndarray:
+    """Query heads q (R,H,d) attend over keys (R,H,d,S) and values (R,H,S,d), or shared
+    (H,d,S), (H,S,d); the mixed rows are projected with ``wo`` and ``bo``."""
+    scores = softmax_values((q[:, :, None] @ k) * scale)                   # (R,H,1,S)
+    return (scores @ v).reshape(len(q), -1) @ wo + bo
 
 
 class Decoder:
@@ -310,11 +314,12 @@ class Decoder:
         """``step(prefixes)`` -> (R, vocab) next-token log-probs over a fixed memory (N, D).
 
         Plain numpy on the parameters' values, in the memory's dtype: no graph.
-        The memory's cross-attention keys/values are projected once.  Between
-        calls the closure keeps only the last call's prefixes and, per block,
-        their stacked self-attention keys (R,H,d,t) and values (R,H,t,d).  A
-        call's prefixes share one length: one token starts over, and a longer
-        prefix must be a row of the last call plus one token.  Row r equals
+        The memory's cross-attention keys/values are projected once; a step
+        projects self-attention's q|k|v with one product.  Between calls the
+        closure keeps only the last call's prefixes and, per block, their stacked
+        self-attention keys (R,H,d,t) and values (R,H,t,d).  A call's prefixes
+        share one length: one token starts over, and a longer prefix must be a
+        row of the last call plus one token.  Row r equals
         ``self(prefixes[r], memory).log_probs[-1]`` up to rounding.
         """
         for name, p in self.params().items():
@@ -322,17 +327,24 @@ class Decoder:
                 raise ContractError(f"decoder parameter {name} holds non-finite values")
         if memory.shape[0] < 1:
             raise ShapeError("decoder memory is empty")
-        cross = [(_heads(memory, b.cross_attn, "k").transpose(1, 2, 0).copy(),
-                  _heads(memory, b.cross_attn, "v").transpose(1, 0, 2).copy()) for b in self.blocks]
-        norms = [[(n.gain.data, n.bias.data) for n in (b.norm1, b.norm2, b.norm3)]
-                 for b in self.blocks]
         vocab, dim = self.embedding.shape
+        heads, cross, arrays = self.cfg.heads, [], []   # each block's arrays, bound once
+        for b in self.blocks:
+            sa, ca, f = b.self_attn, b.cross_attn, b.ffn
+            cross.append((_heads(memory, ca.wk.data, ca.bk.data, heads).transpose(1, 2, 0).copy(),
+                          _heads(memory, ca.wv.data, ca.bv.data, heads).transpose(1, 0, 2).copy()))
+            arrays.append((np.hstack([sa.wq.data, sa.wk.data, sa.wv.data]),   # q|k|v: one (D, 3D)
+                           np.hstack([sa.bq.data, sa.bk.data, sa.bv.data]),
+                           (sa.scale, sa.wo.data, sa.bo.data), (ca.wq.data, ca.bq.data),
+                           (ca.scale, ca.wo.data, ca.bo.data),
+                           (f.w1.data, f.b1.data, f.w2.data, f.b2.data),
+                           [(n.gain.data, n.bias.data) for n in (b.norm1, b.norm2, b.norm3)]))
+        embedding, out_w, out_b = self.embedding.data, self.out_w.data, self.out_b.data
         empty = ({(): 0}, [(k[None, ..., :0], v[None, :, :0]) for k, v in cross])  # one-token parent
         last = empty                                   # previous call's ({prefix: row}, [(K, V)])
-        positions = np.zeros((0, dim), memory.dtype)   # grown on demand, built once per closure
 
         def step(prefixes):
-            nonlocal last, positions
+            nonlocal last
             keys = [tuple(int(i) for i in p) for p in prefixes]
             for prefix in keys:
                 if not prefix or min(prefix) < 0 or max(prefix) >= vocab:
@@ -345,23 +357,24 @@ class Decoder:
                 if prefix[:-1] not in rows:
                     raise ContractError(f"prefix {prefix} is not a row of the last call plus one token")
             parents = [rows[p[:-1]] for p in keys]
-            x = self.embedding.data[[p[-1] for p in keys]]
+            if parents == list(range(len(rows))):   # the last call's rows in order: no gather
+                parents = slice(None)
+            x = embedding[[p[-1] for p in keys]]
             if self.cfg.pos_enc:
-                if len(positions) < t:
-                    positions = sinusoid_positions(2 * t, dim).astype(memory.dtype)
-                x = x + positions[t - 1]
+                x = x + sinusoid_positions(t, dim)[t - 1].astype(memory.dtype)
             grown = []
-            for block, (pk, pv), (mem_k, mem_v), (n1, n2, n3) in zip(self.blocks, kv, cross, norms):
-                k = np.concatenate([pk[parents], _heads(x, block.self_attn, "k")[..., None]], axis=3)
-                v = np.concatenate([pv[parents], _heads(x, block.self_attn, "v")[:, :, None]], axis=2)
+            for (pk, pv), (mem_k, mem_v), (wqkv, bqkv, so, cq, co, (w1, b1, w2, b2), (n1, n2, n3)) \
+                    in zip(kv, cross, arrays):
+                qkv = (x @ wqkv + bqkv).reshape(len(x), 3, heads, -1)   # (R, q|k|v, H, d)
+                k = np.concatenate([pk[parents], qkv[:, 1, ..., None]], axis=3)
+                v = np.concatenate([pv[parents], qkv[:, 2, :, None]], axis=2)
                 grown.append((k, v))
-                x = layer_norm_values(x + _attend(block.self_attn, x, k, v), *n1)[0]
-                x = layer_norm_values(x + _attend(block.cross_attn, x, mem_k, mem_v), *n2)[0]
-                ffn = block.ffn
-                hidden = x @ ffn.w1.data + ffn.b1.data
+                x = layer_norm_values(x + _attend(qkv[:, 0], k, v, *so), *n1)[0]
+                x = layer_norm_values(x + _attend(_heads(x, *cq, heads), mem_k, mem_v, *co), *n2)[0]
+                hidden = x @ w1 + b1
                 hidden = np.where(hidden > 0.0, hidden, 0.0)
-                x = layer_norm_values(x + (hidden @ ffn.w2.data + ffn.b2.data), *n3)[0]
-            logp = log_softmax_values(x @ self.out_w.data + self.out_b.data)
+                x = layer_norm_values(x + (hidden @ w2 + b2), *n3)[0]
+            logp = log_softmax_values(x @ out_w + out_b)
             bad = ~np.isfinite(logp).all(axis=1)
             if bad.any():
                 raise ContractError(f"decoder step produced non-finite log-probs at {keys[bad.argmax()]}")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import no_graph
 from .checkpoint import load_params
 from .config import VARIANTS, ConfigError, RunConfig, load_config, to_flat
 from .data import (DataError, GLYPH_NAMES, SyntheticSpec, Vocab,
@@ -156,6 +157,8 @@ def _reference_list(where: str, record: dict) -> list:
     refs = require_field(where, record, "references")
     if not (isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
         raise DataError(f"{where}: field 'references' must be a list of strings")
+    if not refs:
+        raise DataError(f"{where}: field 'references' is empty")
     return refs
 
 
@@ -166,9 +169,11 @@ def cmd_evaluate(args) -> int:
         _put_once(candidates, where, sample_id, candidate)
         if not args.references:
             references[sample_id] = _reference_list(where, record)
+    if not candidates:
+        raise DataError(f"{args.candidates}: no candidate records")
     if args.references:
         for where, record in read_jsonl(args.references):
-            refs = (_reference_list(where, record) if record.get("references")
+            refs = (_reference_list(where, record) if "references" in record
                     else [_text(where, record, "report")])
             _put_once(references, where, require_id(where, record), refs)
         missing = sorted(set(candidates) ^ set(references))
@@ -212,8 +217,9 @@ def cmd_inspect_maps(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     ids = tokenize(sample.report, vocab)
-    result = model.forward_train(sample.images, ids, sample.labels,
-                                 lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
+    with no_graph():
+        result = model.forward_train(sample.images, ids, sample.labels,
+                                     lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
     meta = {"id": sample.id, "variant": model.variant, "classes": classes,
             "loss_terms": result.breakdown.as_dict()}
 
@@ -324,6 +330,13 @@ def _positive(value):
     return n
 
 
+def _non_negative(value):
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="camalign",
@@ -333,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic glyph dataset with splits")
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=_positive, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--glyphs", type=_positive, default=14, help="catalogue size (max 14)")
     p.add_argument("--grid", type=_positive, default=28)
     p.add_argument("--patches", type=_positive, default=7)

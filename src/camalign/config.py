@@ -94,6 +94,8 @@ class RunConfig:
             value = getattr(t, _FIELD_ALIASES.get(key, key))
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"train.{key} must be finite and non-negative, got {value}")
+        if t.seed < 0:
+            raise ConfigError(f"train.seed must be non-negative, got {t.seed}")
         if t.patience < 0 or t.epochs < 1 or t.batch < 1:
             raise ConfigError("train.patience/epochs/batch out of range")
         if self.decode.beam < 1 or self.decode.max_len < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import consistency, discrim, saliency
-from .autodiff import ContractError, Tensor
+from .autodiff import ContractError, Tensor, no_graph
 from .backbone import (Decoder, DecoderOutput, Encoder, PatchExtractor, ones_param,
                        xavier, zeros_param)
 from .config import VARIANTS, ModelSection, RunConfig
@@ -153,8 +153,10 @@ class CaptionModel:
     # -- generation ---------------------------------------------------------
 
     def step_fn(self, images):
-        """Next-token log-probability closure over a frozen encoding."""
-        return self.decoder.step_fn(self.encode_images(images)[0].data)
+        """Next-token log-probability closure over a frozen encoding (recorded on no graph)."""
+        with no_graph():
+            memory = self.encode_images(images)[0].data
+        return self.decoder.step_fn(memory)
 
 
 def build_model(cfg: RunConfig, vocab_size: int, rng) -> CaptionModel:

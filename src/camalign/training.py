@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ContractError, add, backward, tsum
+from .autodiff import ContractError, add, backward, no_graph, tsum
 from .checkpoint import save_params
 from .config import ConfigError, RunConfig, save_config
 from .data import PAD, Vocab, build_vocab, detokenize, tokenize
@@ -134,11 +134,13 @@ def generate_report(model: CaptionModel, sample, vocab: Vocab, beam: int, max_le
 
 def evaluate_split(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig,
                    beam: int = 1):
-    """Teacher-forced loss terms, in chunks of ``train.batch``, plus decoded text metrics."""
+    """Teacher-forced loss terms, in chunks of ``train.batch`` and recorded on no
+    graph, plus decoded text metrics."""
     terms = np.zeros(3)
-    for start in range(0, len(samples), cfg.train.batch):
-        for b in sample_losses(model, samples[start:start + cfg.train.batch], vocab, cfg)[0]:
-            terms += (b.ce, b.bce, b.mse)
+    with no_graph():
+        for start in range(0, len(samples), cfg.train.batch):
+            for b in sample_losses(model, samples[start:start + cfg.train.batch], vocab, cfg)[0]:
+                terms += (b.ce, b.bce, b.mse)
     candidates = [generate_report(model, s, vocab, beam, cfg.decode.max_len) for s in samples]
     references = [[s.report] for s in samples]
     terms /= max(1, len(samples))

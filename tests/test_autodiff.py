@@ -209,6 +209,39 @@ def test_non_finite_result_names_its_primitive_and_operand_shapes():
         big + 1e308
 
 
+# -- no_graph ----------------------------------------------------------------------
+
+
+def test_no_graph_results_are_leaves_with_the_recorded_values(rng):
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3)))
+
+    def build():
+        return [linear(x, w, b), softmax(matmul(x, w), scale=0.5), layer_norm(x @ w, b + 1.0, b)]
+
+    recorded = build()
+    with ad.no_graph():
+        free = build()
+    for got, want in zip(free, recorded, strict=True):
+        assert got._parents == () and got._backward is None and not got.requires_grad
+        assert want.requires_grad and np.array_equal(got.data, want.data)
+    assert w.requires_grad and b.requires_grad
+
+
+def test_no_graph_is_restored_after_an_exception_and_when_nested(rng):
+    w = Tensor(rng.normal(size=3), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_graph():
+            raise RuntimeError("raised inside the scope")
+    assert (w * 2.0)._backward is not None
+    with ad.no_graph():
+        with ad.no_graph():
+            assert not (w * 2.0).requires_grad
+        assert not (w * 2.0).requires_grad           # the inner exit keeps the outer scope
+    assert (w * 2.0).requires_grad
+
+
 # -- backward contracts ------------------------------------------------------------
 
 

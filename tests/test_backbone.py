@@ -3,7 +3,7 @@ import pytest
 
 from camalign.autodiff import ShapeError, Tensor, tsum
 from camalign.backbone import (Decoder, Encoder, MultiHeadAttention,
-                               PatchExtractor, sinusoid_positions)
+                               PatchExtractor, sinusoid_positions, xavier)
 from camalign.config import ModelSection
 from conftest import check_grads
 
@@ -213,6 +213,28 @@ def test_sinusoid_positions_shape_and_range():
     table = sinusoid_positions(10, 8)
     assert table.shape == (10, 8)
     assert (np.abs(table) <= 1.0).all()
+
+
+def test_sinusoid_positions_are_one_shared_read_only_table_per_shape():
+    table = sinusoid_positions(9, 8)
+    assert sinusoid_positions(9, 8) is table
+    assert sinusoid_positions(9, 4) is not table and sinusoid_positions(8, 8) is not table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_one_qkv_product_equals_the_three_products_bit_for_bit(rng, rows, dtype):
+    """The decoder step projects q, k and v with one (D, 3D) weight; its output
+    bytes rest on each column block equalling its own product, at the step's shapes."""
+    dim = 64
+    x = rng.normal(size=(rows, dim)).astype(dtype)
+    weights = [xavier(rng, dim, dim).data.astype(dtype) for _ in range(3)]
+    biases = [rng.normal(0.0, 0.02, dim).astype(dtype) for _ in range(3)]
+    fused = x @ np.concatenate(weights, axis=1) + np.concatenate(biases)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        assert np.array_equal(fused[:, i * dim:(i + 1) * dim], x @ w + b), i
 
 
 # -- decoder -----------------------------------------------------------------------

@@ -60,6 +60,19 @@ def test_synth_zero_samples_is_argument_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_negative_seeds_are_named_before_anything_is_written(tmp_path, dataset_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(synth_args(tmp_path / "x", seed=-3))
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(dataset_dir), "--out", str(out), "--quiet",
+                 "--set", *MICRO_SET, "train.seed=-1"]) == 1
+    assert "train.seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_more_glyphs_than_the_catalogue_is_an_error(tmp_path, capsys):
     args = synth_args(tmp_path / "x")
     args[args.index("--glyphs") + 1] = "20"
@@ -253,6 +266,23 @@ def test_evaluate_reference_record_without_report_names_path_and_line(tmp_path, 
     refs.write_text(json.dumps({"id": "a"}) + "\n")
     assert main(["evaluate", "--candidates", str(cands), "--references", str(refs)]) == 1
     assert f"{refs}:1: missing field 'report'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_refs", [False, True])
+def test_evaluate_empty_reference_list_names_path_and_line(tmp_path, capsys, with_refs):
+    cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    cands.write_text(json.dumps({"id": "a", "candidate": "x", "references": []}) + "\n")
+    refs.write_text(json.dumps({"id": "a", "references": []}) + "\n")
+    args = ["evaluate", "--candidates", str(cands)] + (["--references", str(refs)] if with_refs else [])
+    assert main(args) == 1
+    assert f"{refs if with_refs else cands}:1: field 'references' is empty" in capsys.readouterr().err
+
+
+def test_evaluate_empty_candidates_file_names_it(tmp_path, capsys):
+    cands = tmp_path / "c.jsonl"
+    cands.write_text("\n")
+    assert main(["evaluate", "--candidates", str(cands)]) == 1
+    assert f"error: {cands}: no candidate records" in capsys.readouterr().err
 
 
 def test_inspect_maps_full_variant(tmp_path, dataset_dir, run_dir):

@@ -54,6 +54,11 @@ def test_validation_rejects_indivisible_heads():
         load_config(None, {"model.dim": 10, "model.heads": 4})
 
 
+def test_negative_seed_is_a_config_error_naming_the_key():
+    with pytest.raises(ConfigError, match="train.seed must be non-negative, got -1"):
+        load_config(None, {"train.seed": -1})
+
+
 def test_validation_rejects_bad_variant():
     with pytest.raises(ConfigError, match="variant"):
         load_config(None, {"train.variant": "bogus"})

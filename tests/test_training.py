@@ -11,7 +11,7 @@ from camalign.autodiff import backward, grad_of, linear, trace, zero_grads
 from camalign.backbone import MultiHeadAttention
 from camalign.cli import _load_run
 from camalign.config import ConfigError, load_config
-from camalign.data import (BOS, Sample, SyntheticSpec, build_vocab, generate_synthetic,
+from camalign.data import (BOS, PAD, Sample, SyntheticSpec, build_vocab, generate_synthetic,
                            tokenize)
 from camalign.decoding import greedy_decode
 from camalign.model import build_model
@@ -411,6 +411,72 @@ def test_a_train_step_peak_falls_with_the_fused_relu_and_residual_norm(monkeypat
     monkeypatch.setattr(backbone, "layer_norm", _composed_layer_norm)
     composed = _step_peak(model, opt, samples, vocab, cfg)
     assert fused < 0.92 * composed, (fused, composed)
+
+
+# -- inference records no graph ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["float64", "float32"])
+def test_forward_train_inside_no_graph_gives_the_recorded_values(narrow):
+    samples, vocab = mixed_batch((1,))
+    cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    model = (run_model(cfg, len(vocab)) if narrow
+             else build_model(cfg, len(vocab), np.random.default_rng([cfg.train.seed, 0])))
+    ids = [tokenize(s.report, vocab) for s in samples[:4]]
+    width = max(map(len, ids))
+    args = (np.stack([s.images for s in samples[:4]]),
+            np.array([x + [PAD] * (width - len(x)) for x in ids]),
+            np.stack([s.labels for s in samples[:4]]))
+    kwargs = dict(lam=cfg.train.lambda_, delta=cfg.train.delta, k=cfg.vtac.k)
+    recorded = model.forward_train(*args, **kwargs)
+    with autodiff.no_graph():
+        free = model.forward_train(*args, **kwargs)
+    assert recorded.total.requires_grad and not free.total.requires_grad
+    for field in ("total", "memory", "summary", "sims", "text_map"):
+        want, got = getattr(recorded, field), getattr(free, field)
+        assert got._backward is None and got.data.tobytes() == want.data.tobytes(), field
+    for field in ("log_probs", "cross_final"):
+        assert (getattr(free.decoder, field).data.tobytes()
+                == getattr(recorded.decoder, field).data.tobytes()), field
+    assert free.maps.visual_map.tobytes() == recorded.maps.visual_map.tobytes()
+    assert free.breakdown == recorded.breakdown and np.array_equal(free.selected, recorded.selected)
+
+
+def test_decoding_and_validation_record_no_graph_and_training_keeps_its_tape(monkeypatch):
+    samples, vocab = mixed_batch((1,))
+    cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
+                       "train.delta": 0.5, "vtac.k": 0.3})
+    model = run_model(cfg, len(vocab))
+    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
+                (model.encdec_params(), cfg.train.lr_ed)])
+    nodes, tapes = Counter(), []
+    make, sweep = autodiff._make, training.backward
+
+    def counted_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        nodes["graph"] += out._backward is not None
+        return out
+
+    def taped(loss, **kwargs):
+        tape = sweep(loss, **kwargs)
+        tapes.append(len(tape.nodes))
+        return tape
+
+    monkeypatch.setattr(autodiff, "_make", counted_make)
+    monkeypatch.setattr(training, "backward", taped)
+
+    def graph_nodes(fn, *args):
+        nodes.clear()
+        fn(*args)
+        return nodes["graph"]
+
+    assert graph_nodes(train_step, model, opt, samples[:4], vocab, cfg) > 0
+    assert graph_nodes(model.step_fn, samples[0].images) == 0
+    assert graph_nodes(evaluate_split, model, samples[4:8], vocab, cfg) == 0
+    assert graph_nodes(model.encode_images, samples[0].images) > 0    # the same encode, unscoped
+    train_step(model, opt, samples[:4], vocab, cfg)
+    assert len(tapes) == 2 and tapes[0] == tapes[1] > 0
 
 
 # -- float32 runs ---------------------------------------------------------------------
