@@ -44,8 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from camalign.config import load_config
 from camalign.data import GLYPH_NAMES, SyntheticSpec, generate_synthetic
-from camalign.optim import Adam
-from camalign.training import generate_report, train, train_step
+from camalign.training import generate_report, run_optimizer, train, train_step
 
 PROFILE = {"model.layers": 2, "model.heads": 4, "model.dim": 64,
            "model.feat_dim": 32, "model.classes": 6, "model.max_len": 24,
@@ -75,8 +74,7 @@ def metric_drift(new: Path, old: Path) -> float:
 def step_peak(result, cfg, batch) -> int:
     """Bytes one ``train_step`` of the trained model allocates at its peak, after a warm-up step."""
     model = result.model
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
     train_step(model, opt, batch, result.vocab, cfg)
     tracemalloc.start()
     try:

@@ -344,32 +344,14 @@ def getitem(a, key) -> Tensor:
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
     def backward(g):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        for p, part_g in zip(parts, np.split(g, cuts, axis=axis)):
             if p.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                _accumulate(p, g[tuple(index)])
+                _accumulate(p, part_g)
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
-
-
-def gather_rows(table, ids) -> Tensor:
-    """Row lookup (embedding), shape ``ids.shape + (D,)``; gradient scatter-adds into the table."""
-    table = as_tensor(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ContractError(f"row id out of range [0, {table.shape[0]}): {ids}")
-
-    def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        _accumulate(table, full)
-
-    return _make(table.data[ids].copy(), (table,), backward)
 
 
 # -- reductions --------------------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .autodiff import (ContractError, ShapeError, Tensor, _finite, add, attention_probs,
-                       gather_rows, layer_norm, layer_norm_values, linear, linear_relu,
+                       getitem, layer_norm, layer_norm_values, linear, linear_relu,
                        log_softmax, log_softmax_values, mean, mix_heads, reshape,
                        self_attention, softmax_values, transpose)
 from .config import ModelSection
@@ -288,8 +288,13 @@ class Decoder:
         return out
 
     def embed_words(self, ids) -> Tensor:
-        """Raw embedding rows, ids.shape + (D,); no position information."""
-        return gather_rows(self.embedding, np.asarray(ids, dtype=np.int64))
+        """Raw embedding rows, ids.shape + (D,); no position information.  Ids outside
+        [0, vocab) raise ``ContractError``, since indexing would wrap a negative id."""
+        ids = np.asarray(ids, dtype=np.int64)
+        vocab = self.embedding.shape[0]
+        if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+            raise ContractError(f"row id out of range [0, {vocab}): {ids}")
+        return getitem(self.embedding, ids)
 
     def __call__(self, prefix_ids, memory: Tensor) -> DecoderOutput:
         """Teacher-forced pass of (..., T) prefixes over (..., N, D) memory.

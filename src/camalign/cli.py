@@ -402,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, TrainingDiverged, FileNotFoundError, ValueError) as err:
+    except (TrainingDiverged, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -72,6 +72,13 @@ def run_model(cfg: RunConfig, vocab_size: int) -> CaptionModel:
     return model
 
 
+def run_optimizer(model: CaptionModel, cfg: RunConfig) -> Adam:
+    """The optimizer of a run: the extractor at ``train.lr_ve``, every other
+    parameter at ``train.lr_ed``."""
+    return Adam([(model.extractor_params(), cfg.train.lr_ve),
+                 (model.encdec_params(), cfg.train.lr_ed)])
+
+
 def sample_losses(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig):
     """Each sample's loss breakdown, and the batch loss: the mean of their totals.
 
@@ -192,8 +199,7 @@ def train(cfg: RunConfig, train_samples, val_samples, run_dir,
 
     model = run_model(cfg, len(vocab))
     shuffle_rng = np.random.default_rng([cfg.train.seed, 1])
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
 
     state = TrainState()
     history = []

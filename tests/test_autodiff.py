@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from camalign import autodiff as ad
 from camalign.autodiff import (ContractError, ShapeError, Tensor, backward,
-                               add, attention_probs, concat, cosine, gather_rows, grad_of,
+                               add, attention_probs, concat, cosine, grad_of,
                                layer_norm, linear, linear_relu, log_softmax, matmul, mean, minmax,
                                mix_heads, relu, reshape, self_attention, softmax, tmax, trace,
                                transpose, tsum)
@@ -680,16 +680,11 @@ def test_concat_gradient(rng):
     check_grads(lambda: tsum(concat([a, b], axis=0) * w), [a, b])
 
 
-def test_gather_rows_gradient(rng):
+def test_getitem_repeated_rows_gradient(rng):
     table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     ids = np.array([0, 2, 2, 4])
     w = Tensor(rng.normal(size=(4, 3)))
-    check_grads(lambda: tsum(gather_rows(table, ids) * w), [table])
-
-
-def test_gather_rows_rejects_out_of_range():
-    with pytest.raises(ContractError):
-        gather_rows(Tensor(np.zeros((3, 2))), np.array([3]))
+    check_grads(lambda: tsum(table[ids] * w), [table])
 
 
 def test_layer_norm_gradient(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from camalign.autodiff import ShapeError, Tensor, tsum
+from camalign.autodiff import ContractError, ShapeError, Tensor, tsum
 from camalign.backbone import (Decoder, Encoder, MultiHeadAttention,
                                PatchExtractor, sinusoid_positions, xavier)
 from camalign.config import ModelSection
@@ -282,6 +282,9 @@ def test_embed_words_lookup_semantics(cfg, rng):
     assert np.array_equal(rows.data[0], rows.data[1])
     assert rows.shape == (3, cfg.dim)
     assert dec.embed_words([]).shape == (0, cfg.dim)
+    for ids in ([VOCAB], [-1]):
+        with pytest.raises(ContractError, match="row id out of range"):
+            dec.embed_words(ids)
 
 
 def test_decode_deterministic(cfg, rng):

@@ -285,6 +285,29 @@ def test_evaluate_empty_candidates_file_names_it(tmp_path, capsys):
     assert f"error: {cands}: no candidate records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["synth --out file", "train --out file", "generate --out dir",
+                                  "evaluate --out dir", "evaluate --candidates dir"])
+def test_a_path_taken_by_a_file_or_directory_is_named(tmp_path, request, capsys, case):
+    command, flag, kind = case.split()
+    path = tmp_path / "taken"
+    if kind == "file":
+        path.touch()
+    else:
+        path.mkdir()
+    cands = tmp_path / "c.jsonl"
+    cands.write_text(json.dumps({"id": "a", "candidate": "x", "references": ["x"]}) + "\n")
+    fixture = request.getfixturevalue
+    args = {"synth": lambda: synth_args(path),
+            "train": lambda: ["train", "--data", str(fixture("dataset_dir")), "--out", str(path),
+                              "--quiet", "--set", *MICRO_SET],
+            "generate": lambda: ["generate", "--run", str(fixture("run_dir")), "--data",
+                                 str(fixture("dataset_dir") / "test.jsonl"), "--out", str(path)],
+            "evaluate": lambda: ["evaluate", "--candidates", str(cands), flag, str(path)]}[command]()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_inspect_maps_full_variant(tmp_path, dataset_dir, run_dir):
     out = tmp_path / "maps"
     sample = load_dataset(dataset_dir / "test.jsonl")[0]

@@ -15,9 +15,8 @@ from camalign.data import (BOS, PAD, Sample, SyntheticSpec, build_vocab, generat
                            tokenize)
 from camalign.decoding import greedy_decode
 from camalign.model import build_model
-from camalign.optim import Adam
 from camalign.training import (TrainingDiverged, TrainState, evaluate_split, run_model,
-                               sample_losses, train, train_step)
+                               run_optimizer, sample_losses, train, train_step)
 from conftest import composed_attention
 
 MICRO = {"model.layers": 1, "model.heads": 2, "model.dim": 8,
@@ -326,8 +325,7 @@ def test_a_train_step_peak_falls_with_the_releasing_sweep(monkeypatch):
     cfg = micro_cfg(**{"train.variant": "full", "model.max_len": 20,
                        "train.delta": 0.5, "vtac.k": 0.3})
     model = run_model(cfg, len(vocab))
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
     train_step(model, opt, samples, vocab, cfg)
 
     releasing = _step_peak(model, opt, samples, vocab, cfg)
@@ -351,8 +349,7 @@ def test_a_train_step_peak_falls_with_the_two_attention_nodes(monkeypatch):
     samples, vocab = mixed_batch((2,))
     cfg = micro_cfg(**{"train.variant": "base", "model.max_len": 20})
     model = run_model(cfg, len(vocab))
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
     train_step(model, opt, samples, vocab, cfg)
 
     fused = _step_peak(model, opt, samples, vocab, cfg)
@@ -377,8 +374,7 @@ def test_a_train_step_peak_falls_with_the_one_node_self_attention(monkeypatch):
     samples, vocab = mixed_batch((2,))
     cfg = micro_cfg(**{"train.variant": "base", "model.max_len": 20})
     model = run_model(cfg, len(vocab))
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
     train_step(model, opt, samples, vocab, cfg)
 
     fused = _step_peak(model, opt, samples, vocab, cfg)
@@ -402,8 +398,7 @@ def test_a_train_step_peak_falls_with_the_fused_relu_and_residual_norm(monkeypat
     samples, vocab = mixed_batch((2,))
     cfg = micro_cfg(**{"train.variant": "base", "model.max_len": 20})
     model = run_model(cfg, len(vocab))
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
     train_step(model, opt, samples, vocab, cfg)
 
     fused = _step_peak(model, opt, samples, vocab, cfg)
@@ -448,8 +443,7 @@ def test_decoding_and_validation_record_no_graph_and_training_keeps_its_tape(mon
     cfg = micro_cfg(**{"train.variant": "full", "model.layers": 2, "model.max_len": 20,
                        "train.delta": 0.5, "vtac.k": 0.3})
     model = run_model(cfg, len(vocab))
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
     nodes, tapes = Counter(), []
     make, sweep = autodiff._make, training.backward
 
@@ -489,8 +483,7 @@ def test_a_float32_step_and_decoder_step_make_no_float64(monkeypatch, variant, v
     cfg = micro_cfg(**{"train.variant": variant, "model.max_len": 20,
                        "train.delta": 0.5, "vtac.k": 0.3})
     model = run_model(cfg, len(vocab))
-    opt = Adam([(model.extractor_params(), cfg.train.lr_ve),
-                (model.encdec_params(), cfg.train.lr_ed)])
+    opt = run_optimizer(model, cfg)
     dtypes = Counter()
     make, accumulate = autodiff._make, autodiff._accumulate
 
