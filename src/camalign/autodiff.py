@@ -10,9 +10,9 @@ gradients and drops each interior one as soon as it has been passed on, so
 the step's peak never holds all activations and all gradients at once.
 
 A float32 array stays float32 and every other input becomes float64; a
-constant operand of ``add``, ``sub`` or ``mul`` takes the dtype of its
-tensor operand, so a float32 graph stays float32 (numpy 2 would promote
-it on meeting a float64 array or scalar).  Training runs in float32; models
+constant operand of ``add`` or ``mul`` takes the dtype of its tensor
+operand, so a float32 graph stays float32 (numpy 2 would promote it on
+meeting a float64 array or scalar).  Training runs in float32; models
 built directly, and every finite-difference check, run in float64, which is
 where correctness is established.  Tensors are immutable values: the package
 never writes into a tensor's ``.data`` (``Adam.step`` and ``load_state``
@@ -87,10 +87,12 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, other)
+        a, b = _operands(self, other)
+        return add(a, -b)
 
     def __rsub__(self, other):
-        return sub(other, self)
+        a, b = _operands(other, self)
+        return add(a, -b)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -192,18 +194,6 @@ def add(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(a.data + b.data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:

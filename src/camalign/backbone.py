@@ -14,8 +14,8 @@ from functools import cache
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, _finite, add, attention_probs,
-                       getitem, layer_norm, layer_norm_values, linear, linear_relu,
+from .autodiff import (ContractError, ShapeError, Tensor, _finite, _split_heads, add,
+                       attention_probs, getitem, layer_norm, layer_norm_values, linear, linear_relu,
                        log_softmax, log_softmax_values, mean, mix_heads, reshape,
                        self_attention, softmax_values, transpose)
 from .config import ModelSection
@@ -100,16 +100,16 @@ class PatchExtractor:
 class MultiHeadAttention:
     """Scaled dot-product attention, all heads (and samples) in one batched product.
 
-    Between the projections, cross-attention is two nodes, ``attention_probs``
-    (keeps only the per-head probabilities) and ``mix_heads``, and returns the
-    output, (..., T, D), with the probabilities, (..., H, T, S); self-attention
-    (keys and values are the query) is one ``self_attention`` node and returns ``None``.
+    ``attn(x, memory)`` is cross-attention over ``memory``: between the projections, two
+    nodes, ``attention_probs`` (keeps only the per-head probabilities) and ``mix_heads``,
+    returning the output, (..., T, D), with the probabilities, (..., H, T, S).  ``attn(x)``
+    is self-attention, one ``self_attention`` node, returning ``None`` for them.
     """
 
     def __init__(self, dim: int, heads: int, rng):
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} not divisible by heads {heads}")
-        self.dim, self.heads = dim, heads
+        self.heads = heads
         self.head_dim = dim // heads
         self.scale = 1.0 / math.sqrt(self.head_dim)
         self.wq = xavier(rng, dim, dim)
@@ -122,12 +122,13 @@ class MultiHeadAttention:
         names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
         return {f"{prefix}.{n}": getattr(self, n) for n in names}
 
-    def __call__(self, query: Tensor, keys: Tensor, values: Tensor, mask=None):
-        q = linear(query, self.wq, self.bq)
-        k = linear(keys, self.wk, self.bk)
-        v = linear(values, self.wv, self.bv)
+    def __call__(self, x: Tensor, memory: Tensor | None = None, mask=None):
+        kv = x if memory is None else memory
+        q = linear(x, self.wq, self.bq)
+        k = linear(kv, self.wk, self.bk)
+        v = linear(kv, self.wv, self.bv)
         # one softmax for every head; a (T, T) causal mask broadcasts over H and the batch
-        if keys is query and values is query:
+        if memory is None:
             mixed = self_attention(q, k, v, self.heads, self.scale, mask)
             return linear(mixed, self.wo, self.bo), None
         scores = attention_probs(q, k, self.heads, self.scale, mask)
@@ -177,7 +178,7 @@ class EncoderBlock:
         return out
 
     def __call__(self, x: Tensor) -> Tensor:
-        attended, _ = self.attn(x, x, x)
+        attended, _ = self.attn(x)
         x = self.norm1(x, attended)
         return self.norm2(x, self.ffn(x))
 
@@ -234,9 +235,9 @@ class DecoderBlock:
         return out
 
     def __call__(self, x: Tensor, memory: Tensor, causal_mask):
-        attended, _ = self.self_attn(x, x, x, mask=causal_mask)
+        attended, _ = self.self_attn(x, mask=causal_mask)
         x = self.norm1(x, attended)
-        crossed, cross_scores = self.cross_attn(x, memory, memory)
+        crossed, cross_scores = self.cross_attn(x, memory)
         x = self.norm2(x, crossed)
         return self.norm3(x, self.ffn(x)), cross_scores
 
@@ -255,12 +256,6 @@ class DecoderOutput:
 
 
 # -- numpy mirrors of the graph ops, in the same op order, for Decoder.step_fn --
-
-
-def _heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
-    """Project rows (..., D) with ``w`` and ``b`` and split them into heads, (..., H, d)."""
-    y = x @ w + b
-    return y.reshape(*x.shape[:-1], heads, -1)
 
 
 def _attend(q, k, v, scale: float, wo, bo) -> np.ndarray:
@@ -336,8 +331,8 @@ class Decoder:
         heads, cross, arrays = self.cfg.heads, [], []   # each block's arrays, bound once
         for b in self.blocks:
             sa, ca, f = b.self_attn, b.cross_attn, b.ffn
-            cross.append((_heads(memory, ca.wk.data, ca.bk.data, heads).transpose(1, 2, 0).copy(),
-                          _heads(memory, ca.wv.data, ca.bv.data, heads).transpose(1, 0, 2).copy()))
+            cross.append((_split_heads(memory @ ca.wk.data + ca.bk.data, heads, True).copy(),
+                          _split_heads(memory @ ca.wv.data + ca.bv.data, heads).copy()))
             arrays.append((np.hstack([sa.wq.data, sa.wk.data, sa.wv.data]),   # q|k|v: one (D, 3D)
                            np.hstack([sa.bq.data, sa.bk.data, sa.bv.data]),
                            (sa.scale, sa.wo.data, sa.bo.data), (ca.wq.data, ca.bq.data),
@@ -375,7 +370,8 @@ class Decoder:
                 v = np.concatenate([pv[parents], qkv[:, 2, :, None]], axis=2)
                 grown.append((k, v))
                 x = layer_norm_values(x + _attend(qkv[:, 0], k, v, *so), *n1)[0]
-                x = layer_norm_values(x + _attend(_heads(x, *cq, heads), mem_k, mem_v, *co), *n2)[0]
+                cross_q = (x @ cq[0] + cq[1]).reshape(len(x), heads, -1)          # (R, H, d)
+                x = layer_norm_values(x + _attend(cross_q, mem_k, mem_v, *co), *n2)[0]
                 hidden = x @ w1 + b1
                 hidden = np.where(hidden > 0.0, hidden, 0.0)
                 x = layer_norm_values(x + (hidden @ w2 + b2), *n3)[0]

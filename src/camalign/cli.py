@@ -18,7 +18,7 @@ from .autodiff import no_graph
 from .checkpoint import load_params
 from .config import VARIANTS, ConfigError, RunConfig, load_config, to_flat
 from .data import (DataError, GLYPH_NAMES, SyntheticSpec, Vocab,
-                   generate_synthetic, load_dataset, read_jsonl, require_field,
+                   generate_synthetic, load_dataset, read_jsonl, read_text, require_field,
                    require_id, save_alignment, save_dataset, split_dataset, tokenize)
 from .metrics import evaluate_corpus
 from .saliency import normalize_map
@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
 
 def _read_json(path: Path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: malformed JSON ({e.msg})") from e
 

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .data import RESERVED
+from .data import RESERVED, read_text
 
 
 class ConfigError(ValueError):
@@ -162,11 +162,10 @@ def load_config(path=None, overrides: dict = None) -> RunConfig:
     """Defaults <- optional JSON file <- optional overrides, then validate."""
     cfg = RunConfig()
     if path is not None:
-        with open(path) as fh:
-            try:
-                file_flat = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: malformed JSON ({e.msg})") from e
+        try:
+            file_flat = json.loads(read_text(path, ConfigError))
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: malformed JSON ({e.msg})") from e
         if not isinstance(file_flat, dict):
             raise ConfigError(f"{path}: config must be a flat JSON object")
         apply_flat(cfg, file_flat)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (ContractError, ShapeError, Tensor, cosine, minmax, mul, relu, sub,
+from .autodiff import (ContractError, ShapeError, Tensor, add, cosine, minmax, mul, relu,
                        tmax, tsum)
 
 def word_similarities(embeddings: Tensor, summary: Tensor) -> Tensor:
@@ -70,8 +70,8 @@ def consistency_loss(text_map: Tensor, visual_map) -> Tensor:
     is read as a constant)."""
     if isinstance(visual_map, Tensor):
         visual_map = visual_map.data
-    target = np.asarray(visual_map)
+    target = np.asarray(visual_map, dtype=text_map.data.dtype)
     if text_map.shape != target.shape:
         raise ShapeError(f"map lengths differ: {text_map.shape} vs {target.shape}")
-    diff = sub(text_map, target)
+    diff = add(text_map, -target)   # IEEE a - b is a + (-b), bit for bit
     return tsum(mul(diff, diff), axis=-1) * (1.0 / target.shape[-1])

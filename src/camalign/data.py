@@ -103,21 +103,29 @@ def save_dataset(path, samples) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def read_text(path, error=DataError) -> str:
+    """The file's text; a file that does not decode raises ``error`` naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not {e.encoding} text ({e.reason} at byte {e.start})") from e
+
+
 def read_jsonl(path) -> list:
     """(``path:line``, record) pairs for the non-blank lines of a JSONL file."""
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{where}: malformed JSON ({e.msg})") from e
-            if not isinstance(record, dict):
-                raise DataError(f"{where}: expected a JSON object")
-            records.append((where, record))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{where}: malformed JSON ({e.msg})") from e
+        if not isinstance(record, dict):
+            raise DataError(f"{where}: expected a JSON object")
+        records.append((where, record))
     return records
 
 

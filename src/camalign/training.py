@@ -50,7 +50,8 @@ class TrainState:
         return False
 
     def should_stop(self, patience: int) -> bool:
-        return self.epochs_since_best >= patience
+        """Stop after ``patience`` epochs without a gain; patience 0 stops at the first one."""
+        return self.epochs_since_best >= max(1, patience)
 
 
 @dataclass
@@ -84,8 +85,8 @@ def sample_losses(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig):
 
     Samples whose images share a shape form one group and run through
     ``forward_train`` as one graph, reports padded with PAD to the group's
-    longest.  A ``ContractError`` leaves with ``.breakdowns`` of the groups
-    whose forward pass finished.
+    longest.  A ``ContractError`` leaves with ``.breakdowns``, one per sample in
+    batch order, ``None`` where the sample's group did not finish its forward pass.
     """
     groups = {}
     for i, s in enumerate(samples):
@@ -104,7 +105,7 @@ def sample_losses(model: CaptionModel, samples, vocab: Vocab, cfg: RunConfig):
             sums.append(tsum(result.total))
         loss = reduce(add, sums) * (1.0 / len(samples))
     except ContractError as err:
-        err.breakdowns = [breakdowns[i] for i in sorted(breakdowns)]
+        err.breakdowns = [breakdowns.get(i) for i in range(len(samples))]
         raise
     return [breakdowns[i] for i in range(len(samples))], loss
 
@@ -215,7 +216,7 @@ def train(cfg: RunConfig, train_samples, val_samples, run_dir,
                 try:
                     breakdowns = train_step(model, opt, batch, vocab, cfg)
                 except ContractError as err:
-                    losses = [b.as_dict() for b in err.breakdowns]
+                    losses = [None if b is None else b.as_dict() for b in err.breakdowns]
                     path = _dump_diverged(run_dir, epoch, batch, losses, str(err))
                     raise TrainingDiverged(f"{err}; offending batch dumped to {path}") from err
                 for b in breakdowns:

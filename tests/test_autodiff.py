@@ -359,7 +359,7 @@ def _weighted(out, rng):
 
 PRIMITIVE_CASES = [
     ("add_broadcast", lambda a, b: a + b, (2, 3), (3,)),
-    ("sub", lambda a, b: a - b, (2, 3), (2, 3)),
+    ("sub", lambda a, b: a - b, (2, 3), (2, 3)),              # add(a, mul(b, -1))
     ("mul_broadcast", lambda a, b: a * b, (2, 3), (1, 3)),
     ("matmul", matmul, (2, 3), (3, 4)),
     ("matmul_stacked", matmul, (3, 2, 4), (3, 4, 5)),         # (H,T,d) @ (H,d,S)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from camalign.autodiff import ContractError, ShapeError, Tensor, tsum
+from camalign.autodiff import (ContractError, ShapeError, Tensor, attention_probs, linear,
+                               mix_heads, tsum)
 from camalign.backbone import (Decoder, Encoder, MultiHeadAttention,
                                PatchExtractor, sinusoid_positions, xavier)
 from camalign.config import ModelSection
@@ -77,7 +78,7 @@ def test_single_key_attention_row_is_one(rng):
     attn = MultiHeadAttention(8, 2, rng)
     q = Tensor(rng.normal(size=(3, 8)))
     kv = Tensor(rng.normal(size=(1, 8)))
-    _, scores = attn(q, kv, kv)
+    _, scores = attn(q, kv)
     assert scores.shape == (2, 3, 1)
     assert np.allclose(scores.data, 1.0, atol=1e-15)
 
@@ -87,7 +88,7 @@ def test_identical_keys_give_uniform_rows(rng):
     q = Tensor(rng.normal(size=(2, 8)))
     row = rng.normal(size=8)
     kv = Tensor(np.tile(row, (5, 1)))
-    _, scores = attn(q, kv, kv)
+    _, scores = attn(q, kv)
     assert scores.shape == (2, 2, 5)
     assert np.allclose(scores.data, 0.2, atol=1e-12)
 
@@ -96,7 +97,7 @@ def test_attention_rows_are_probability_vectors(rng):
     attn = MultiHeadAttention(8, 4, rng)
     q = Tensor(rng.normal(size=(5, 8)))
     kv = Tensor(rng.normal(size=(7, 8)))
-    _, scores = attn(q, kv, kv)
+    _, scores = attn(q, kv)
     assert scores.shape == (4, 5, 7)
     assert np.abs(scores.data.sum(axis=-1) - 1.0).max() < 1e-9
     assert (scores.data >= 0).all() and (scores.data <= 1).all()
@@ -125,10 +126,14 @@ def test_attention_matches_per_head_reference(rng, kind):
     query = rng.normal(size=(5, 12))
     keys = rng.normal(size=(7, 12)) if kind == "cross" else query
     mask = np.tril(np.ones((5, 5), dtype=bool)) if kind == "causal_self" else None
-    out, scores = attn(Tensor(query), Tensor(keys), Tensor(keys), mask=mask)
     want_out, want_scores = _per_head_reference(attn, query, keys, mask)
-    assert scores.shape == want_scores.shape == (3, 5, keys.shape[0])
-    assert np.abs(scores.data - want_scores).max() <= 1e-12
+    if kind == "cross":
+        out, scores = attn(Tensor(query), Tensor(keys))
+        assert scores.shape == want_scores.shape == (3, 5, 7)
+        assert np.abs(scores.data - want_scores).max() <= 1e-12
+    else:                                   # self-attention keeps its probabilities inside
+        out, scores = attn(Tensor(query), mask=mask)
+        assert scores is None
     assert np.abs(out.data - want_out).max() <= 1e-12
 
 
@@ -142,7 +147,7 @@ def test_attention_gradient(rng, heads):
     w_out, w_scores = (Tensor(rng.normal(size=shape)) for shape in ((3, 4), (heads, 3, 5)))
 
     def build_loss():
-        out, scores = attn(x, memory, memory)
+        out, scores = attn(x, memory)
         return tsum(out * w_out) + tsum(scores * w_scores)
 
     check_grads(build_loss, [x, memory, attn.wq, attn.wk, attn.wv, attn.wo], h=1e-5, tol=1e-6)
@@ -151,12 +156,25 @@ def test_attention_gradient(rng, heads):
 def test_self_attention_is_one_node_that_returns_no_probabilities(rng):
     attn = MultiHeadAttention(4, 2, rng)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    out, scores = attn(x, x, x)
+    out, scores = attn(x)
     assert scores is None
     mixed = out._parents[0]
     assert mixed._backward.__qualname__.split(".")[0] == "self_attention"
-    want, _ = attn(x, Tensor(x.data), Tensor(x.data))
-    assert np.array_equal(out.data, want.data)
+    q, k, v = (linear(x, w, b) for w, b in ((attn.wq, attn.bq), (attn.wk, attn.bk),
+                                            (attn.wv, attn.bv)))
+    pair = mix_heads(attention_probs(q, k, attn.heads, attn.scale), v)
+    assert np.array_equal(out.data, linear(pair, attn.wo, attn.bo).data)
+
+
+def test_a_memory_equal_to_the_query_is_still_cross_attention(rng):
+    """The call's arguments choose the path: an equal-valued copy of ``x`` as the
+    memory gives the two-node cross-attention and its probabilities."""
+    attn = MultiHeadAttention(4, 2, rng)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out, scores = attn(x, Tensor(x.data))
+    assert scores is not None and scores.shape == (2, 3, 3)
+    assert out._parents[0]._backward.__qualname__.split(".")[0] == "mix_heads"
+    assert np.array_equal(out.data, attn(x)[0].data)
 
 
 def test_softmax_logit_closed_form_on_scores():

@@ -308,6 +308,23 @@ def test_a_path_taken_by_a_file_or_directory_is_named(tmp_path, request, capsys,
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize("case", ["evaluate --candidates", "train --config", "inspect-maps --classes"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, request, capsys, case):
+    command, flag = case.split()
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\x00")
+    fixture = request.getfixturevalue
+    args = {"evaluate": lambda: ["evaluate", flag, str(path)],
+            "train": lambda: ["train", "--data", str(fixture("dataset_dir")), flag, str(path),
+                              "--out", str(tmp_path / "run2"), "--quiet"],
+            "inspect-maps": lambda: ["inspect-maps", "--run", str(fixture("run_dir")), "--data",
+                                     str(fixture("dataset_dir") / "test.jsonl"),
+                                     "--out", str(tmp_path / "maps"), flag, str(path)]}[command]()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_inspect_maps_full_variant(tmp_path, dataset_dir, run_dir):
     out = tmp_path / "maps"
     sample = load_dataset(dataset_dir / "test.jsonl")[0]

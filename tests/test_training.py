@@ -108,6 +108,11 @@ def test_train_state_patience_arithmetic():
         assert not state.update(0.5)        # ties do not improve
     assert state.epochs_since_best == 3
     assert state.should_stop(3) and not state.should_stop(4)
+    fresh = TrainState()                    # patience 0: stop at the first epoch without a gain
+    fresh.epoch = 1
+    assert fresh.update(0.5) and not fresh.should_stop(0)
+    fresh.epoch = 2
+    assert not fresh.update(0.5) and fresh.should_stop(0)
 
 
 def test_nan_input_aborts_with_batch_dump(tmp_path):
@@ -119,6 +124,24 @@ def test_nan_input_aborts_with_batch_dump(tmp_path):
         train(micro_cfg(), train_s + [poisoned], val_s, tmp_path / "run")
     dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
     assert any(s["id"] == "bad" for s in dump["samples"])
+
+
+def test_a_dump_pairs_each_sample_with_its_loss_or_null(tmp_path):
+    """A two-view NaN sample among one-view samples: its shape group raises after
+    the one-view group finished, and the dump keeps one loss record per sample."""
+    train_s, val_s = micro_dataset()
+    grid = np.full((8, 8), np.nan)
+    poisoned = Sample(id="bad", images=[grid, grid], report="there is a cross in r0c0 .",
+                      labels=np.array([0, 1, 0]))
+    with pytest.raises(TrainingDiverged, match="diverged_batch.json"):
+        train(micro_cfg(**{"train.batch": 16}), train_s + [poisoned], val_s, tmp_path / "run")
+    dump = json.loads((tmp_path / "run" / "diverged_batch.json").read_text())
+    assert len(dump["loss_terms"]) == len(dump["samples"]) == len(train_s) + 1
+    for sample, terms in zip(dump["samples"], dump["loss_terms"]):
+        if sample["id"] == "bad":
+            assert terms is None
+        else:
+            assert all(np.isfinite(v) for v in terms.values())
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -334,11 +357,12 @@ def test_a_train_step_peak_falls_with_the_releasing_sweep(monkeypatch):
     assert releasing < 0.75 * plain, (releasing, plain)
 
 
-def _composed_mha(self, query, keys, values, mask=None):
+def _composed_mha(self, x, memory=None, mask=None):
     """``MultiHeadAttention.__call__`` with its two attention nodes as the op chain they replace."""
-    q = linear(query, self.wq, self.bq)
-    k = linear(keys, self.wk, self.bk)
-    v = linear(values, self.wv, self.bv)
+    kv = x if memory is None else memory
+    q = linear(x, self.wq, self.bq)
+    k = linear(kv, self.wk, self.bk)
+    v = linear(kv, self.wv, self.bv)
     scores, mixed = composed_attention(q, k, v, self.heads, self.scale, mask)
     return linear(mixed, self.wo, self.bo), scores
 
@@ -358,12 +382,13 @@ def test_a_train_step_peak_falls_with_the_two_attention_nodes(monkeypatch):
     assert fused < 0.88 * composed, (fused, composed)
 
 
-def _paired_mha(self, query, keys, values, mask=None):
+def _paired_mha(self, x, memory=None, mask=None):
     """``MultiHeadAttention.__call__`` with every attention, self-attention too,
     as the ``attention_probs`` and ``mix_heads`` pair."""
-    q = linear(query, self.wq, self.bq)
-    k = linear(keys, self.wk, self.bk)
-    v = linear(values, self.wv, self.bv)
+    kv = x if memory is None else memory
+    q = linear(x, self.wq, self.bq)
+    k = linear(kv, self.wk, self.bk)
+    v = linear(kv, self.wv, self.bv)
     scores = autodiff.attention_probs(q, k, self.heads, self.scale, mask)
     return linear(autodiff.mix_heads(scores, v), self.wo, self.bo), scores
 
